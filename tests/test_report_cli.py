@@ -140,6 +140,26 @@ class TestCliConfigFile:
         cfg.write_text(json.dumps({"suite": "reciprocal", "bogus": 1}))
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_boolean_iterations_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"suite": "reciprocal", "iterations": True}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "'iterations' must be int" in capsys.readouterr().err
+
+    def test_string_seed_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"suite": "reciprocal", "seed": "7"}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "'seed' must be int" in capsys.readouterr().err
+
+    def test_integer_eps_accepted(self, tmp_path, capsys):
+        # At eps = 1 the offset bug stays within tolerance, so the exit code
+        # shows that the integer reached the relation.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"suite": "reciprocal", "variant": "off_by_eps",
+                                   "iterations": 20, "eps": 1}))
+        assert main(["run", "--config", str(cfg)]) == 0
+
     def test_config_report_path(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         cfg = tmp_path / "run.json"
