@@ -7,31 +7,8 @@ decides the verdict.  The system under test may play the forward role, the
 backward role, or both.
 """
 
-from .core import (
-    IDENTITY_MUTATOR,
-    ConfigError,
-    Mode,
-    MutationDescriptor,
-    Mutator,
-    Outcome,
-    Stage,
-    StepCapExceeded,
-    SuiteConfig,
-    SuiteDefinition,
-    SuiteSummary,
-    Transcript,
-    TrialContext,
-    TrialReport,
-    Variant,
-    Verdict,
-    derive_trial_seed,
-    get_suite,
-    list_suites,
-    register_suite,
-    replay_trial,
-    run_suite,
-    run_trial,
-)
+from . import core
+from .core import *  # noqa: F401,F403  (re-exports core.__all__)
 from .generators import Rng
 
 # Importing the subpackage registers the built-in suites.
@@ -39,31 +16,4 @@ from . import suites  # noqa: E402,F401  (import for registration side effect)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "StepCapExceeded",
-    "Mode",
-    "Stage",
-    "Outcome",
-    "Verdict",
-    "MutationDescriptor",
-    "Mutator",
-    "IDENTITY_MUTATOR",
-    "TrialContext",
-    "Transcript",
-    "Variant",
-    "SuiteDefinition",
-    "SuiteConfig",
-    "TrialReport",
-    "SuiteSummary",
-    "Rng",
-    "derive_trial_seed",
-    "run_trial",
-    "replay_trial",
-    "run_suite",
-    "register_suite",
-    "get_suite",
-    "list_suites",
-    "suites",
-    "__version__",
-]
+__all__ = [*core.__all__, "Rng", "suites", "__version__"]

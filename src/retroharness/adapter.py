@@ -114,24 +114,20 @@ class ExternalProgram:
             self._child.stdin.flush()
             line = self._read_line(self.timeout)
         except ExternalProgramError:
-            # Restart so the next trial gets a clean child.
+            # Drop the child; the next call starts a clean one.
             self._kill()
-            self._spawn()
             raise
         except (BrokenPipeError, OSError) as exc:
             self._kill()
-            self._spawn()
             raise ExternalProgramError(f"external program pipe failed: {exc}") from exc
 
         try:
             response = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._kill()
-            self._spawn()
             raise ExternalProgramError(f"malformed response line: {line!r}") from exc
         if not isinstance(response, dict) or response.get("id") != request_id:
             self._kill()
-            self._spawn()
             raise ExternalProgramError(f"response does not match request id: {response!r}")
         if "error" in response:
             raise ExternalProgramError(f"external program error: {response['error']}")

@@ -7,6 +7,7 @@ program error occurred, 2 for configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,22 +17,17 @@ from .report import summary_lines, write_report
 
 __all__ = ["main"]
 
+_DEFAULT = SuiteConfig()
+
+# Config keys and run flags: the seed and the variant go by shorter names
+# than the SuiteConfig fields they set.
+_SHORT_NAMES = {"master_seed": "seed", "variant_id": "variant"}
+_FIELDS = {_SHORT_NAMES.get(f.name, f.name): f.name for f in dataclasses.fields(SuiteConfig)}
+
 _CONFIG_KEYS = {
     "suite": str,
-    "variant": str,
-    "iterations": int,
-    "seed": int,
-    "eps": float,
-    "step_cap": int,
     "report_path": str,
-}
-
-_DEFAULTS = {
-    "variant": "correct",
-    "iterations": 1000,
-    "seed": 42,
-    "eps": 1e-10,
-    "step_cap": 10_000_000,
+    **{key: type(getattr(_DEFAULT, name)) for key, name in _FIELDS.items()},
 }
 
 
@@ -57,29 +53,22 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The flags among ``keys`` that were given on the command line."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _suite_config(options: dict) -> SuiteConfig:
+    """SuiteConfig's defaults overridden by the run options that were set."""
+    return SuiteConfig(**{_FIELDS[key]: value for key, value in options.items() if key in _FIELDS})
+
+
 def _resolve_run_options(args: argparse.Namespace) -> dict:
     """Layered precedence: flags, then config file, then RETRO_SEED for the
-    seed, then built-in defaults."""
-    options: dict = dict(_DEFAULTS)
-    options["suite"] = None
-    options["report_path"] = None
+    seed; keys set by none of them are absent."""
+    options = _load_config_file(args.config) if args.config else {}
 
-    file_values = _load_config_file(args.config) if args.config else {}
-    options.update(file_values)
-
-    for key, flag_value in (
-        ("suite", args.suite),
-        ("variant", args.variant),
-        ("iterations", args.iterations),
-        ("seed", args.seed),
-        ("eps", args.eps),
-        ("step_cap", args.step_cap),
-        ("report_path", args.report),
-    ):
-        if flag_value is not None:
-            options[key] = flag_value
-
-    if args.seed is None and "seed" not in file_values:
+    if args.seed is None and "seed" not in options:
         env_seed = os.environ.get("RETRO_SEED")
         if env_seed is not None:
             try:
@@ -87,7 +76,8 @@ def _resolve_run_options(args: argparse.Namespace) -> dict:
             except ValueError:
                 raise ConfigError(f"RETRO_SEED must be an integer, got {env_seed!r}") from None
 
-    if not options["suite"]:
+    options.update(_given(args, _CONFIG_KEYS))
+    if not options.get("suite"):
         raise ConfigError("no suite given (use --suite or a config file)")
     return options
 
@@ -102,17 +92,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     options = _resolve_run_options(args)
     suite = get_suite(options["suite"])
-    config = SuiteConfig(
-        iterations=options["iterations"],
-        master_seed=options["seed"],
-        eps=options["eps"],
-        step_cap=options["step_cap"],
-        variant_id=options["variant"],
-    )
-    config.validate(suite)
-
-    summary, reports = run_suite(suite, config)
-    if options["report_path"]:
+    summary, reports = run_suite(suite, _suite_config(options))
+    if options.get("report_path"):
         write_report(options["report_path"], reports, suite)
     for line in summary_lines(summary):
         print(line)
@@ -139,13 +120,7 @@ def _print_transcript(report, suite) -> None:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     suite = get_suite(args.suite)
-    config = SuiteConfig(
-        iterations=1,
-        master_seed=0,
-        eps=args.eps if args.eps is not None else _DEFAULTS["eps"],
-        step_cap=args.step_cap if args.step_cap is not None else _DEFAULTS["step_cap"],
-        variant_id=args.variant,
-    )
+    config = _suite_config(_given(args, ("variant", "eps", "step_cap")))
     config.validate(suite)
     report = replay_trial(suite, config, args.trial_seed)
     _print_transcript(report, suite)
@@ -170,13 +145,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "the default seed when --seed is absent.",
     )
     p_run.add_argument("--suite", help="suite name (see 'list')")
-    p_run.add_argument("--variant", help="program variant id (default: correct)")
-    p_run.add_argument("--iterations", type=int, help="number of trials (default: 1000)")
-    p_run.add_argument("--seed", type=int, help="64-bit master seed (default: 42)")
-    p_run.add_argument("--eps", type=float, help="relation tolerance (default: 1e-10)")
-    p_run.add_argument("--step-cap", type=int, dest="step_cap",
-                       help="work bound per program execution (default: 10^7)")
-    p_run.add_argument("--report", help="write one JSON record per trial to this path")
+    p_run.add_argument("--variant", help=f"program variant id (default: {_DEFAULT.variant_id})")
+    p_run.add_argument("--iterations", type=int,
+                       help=f"number of trials (default: {_DEFAULT.iterations})")
+    p_run.add_argument("--seed", type=int,
+                       help=f"64-bit master seed (default: {_DEFAULT.master_seed})")
+    p_run.add_argument("--eps", type=float, help=f"relation tolerance (default: {_DEFAULT.eps})")
+    p_run.add_argument("--step-cap", type=int,
+                       help=f"work bound per program execution (default: {_DEFAULT.step_cap})")
+    p_run.add_argument("--report", dest="report_path", metavar="REPORT",
+                       help="write one JSON record per trial to this path")
     p_run.add_argument("--config", help="JSON config file with the same keys")
     p_run.set_defaults(func=_cmd_run)
 
@@ -185,10 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run one trial from a reported seed and print its transcript",
     )
     p_replay.add_argument("--suite", required=True)
-    p_replay.add_argument("--variant", default="correct")
-    p_replay.add_argument("--trial-seed", type=int, required=True, dest="trial_seed")
+    p_replay.add_argument("--variant")
+    p_replay.add_argument("--trial-seed", type=int, required=True)
     p_replay.add_argument("--eps", type=float)
-    p_replay.add_argument("--step-cap", type=int, dest="step_cap")
+    p_replay.add_argument("--step-cap", type=int)
     p_replay.set_defaults(func=_cmd_replay)
 
     return parser

@@ -15,11 +15,12 @@ ordered by trial index.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .generators import Rng
+from .generators import _GAMMA, _MASK64, Rng, _mix64
 
 __all__ = [
     "ConfigError",
@@ -152,11 +153,18 @@ class Mutator:
     ``apply(m2, ctx)`` returns the mutated datum and the parameter map for
     the mutation descriptor.  The identity mutator returns its argument
     unchanged (the same object, so identity trials are bit-identical).
+    The weight must be finite and positive.
     """
 
     name: str
     apply: MutateFn
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.weight < math.inf:
+            raise ConfigError(
+                f"mutator {self.name!r} needs a finite weight > 0, got {self.weight!r}"
+            )
 
 
 IDENTITY_MUTATOR = Mutator("identity", lambda value, ctx: (value, {}))
@@ -171,8 +179,6 @@ class Transcript:
     ``m2_mutated`` only when ``m2`` is.
     """
 
-    trial_index: int
-    trial_seed: int
     m1: Any = None
     m2: Any = None
     m2_mutated: Any = None
@@ -282,21 +288,9 @@ class SuiteSummary:
     wall_time: float = field(compare=False, default=0.0)
 
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective 64-bit avalanche mix."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed; distinct indices decorrelate fully."""
-    return _mix64(master_seed ^ ((trial_index + 1) * _GAMMA & _MASK64))
+    return _mix64((master_seed ^ ((trial_index + 1) * _GAMMA)) & _MASK64)
 
 
 def _select_mutator(mutators: tuple[Mutator, ...], rng: Rng) -> Mutator:
@@ -356,22 +350,13 @@ def _execute(
     except Exception as exc:  # noqa: BLE001 - program failures become verdicts
         verdict = Verdict.program_error(stage, f"{type(exc).__name__}: {exc}")
 
-    transcript = Transcript(
-        trial_index=trial_index,
-        trial_seed=trial_seed,
-        m1=m1,
-        m2=m2,
-        m2_mutated=m2_mutated,
-        m1_prime=m1_prime,
-        mutation=mutation,
-    )
     return TrialReport(
         suite=suite.name,
         variant_id=config.variant_id,
         trial_index=trial_index,
         trial_seed=trial_seed,
         verdict=verdict,
-        transcript=transcript,
+        transcript=Transcript(m1, m2, m2_mutated, m1_prime, mutation),
     )
 
 

@@ -30,6 +30,13 @@ POSTFIX_OPERATORS = "+-*/"
 POSTFIX_OPERANDS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 class Rng:
     """Deterministic 64-bit random stream (SplitMix64).
 
@@ -44,10 +51,7 @@ class Rng:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return _mix64(self._state)
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of precision."""

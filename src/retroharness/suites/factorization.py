@@ -30,8 +30,6 @@ __all__ = [
 # Witnesses making Miller-Rabin deterministic for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_MAX_RESTARTS = 20
-
 
 def gcd(a: int, b: int) -> int:
     """Euclidean greatest common divisor of two nonnegative integers."""
@@ -46,7 +44,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every 64-bit integer."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -67,15 +65,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _StepBudget:
-    """Shared count of remaining polynomial evaluations."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, cap: int) -> None:
-        self.remaining = cap
-
-
 def pollards_rho(
     n: int,
     variant: str = "correct",
@@ -85,10 +74,10 @@ def pollards_rho(
     """Factor n with Pollard's rho; the total number of polynomial
     iterations across the whole recursion is bounded by step_cap.
 
-    The correct variant strips twos, short-circuits on primes, retries a
-    failed split with fresh random parameters, and therefore only returns
-    prime factors.  The "gcd_x" variant reproduces the seeded bug with
-    neither safeguard.
+    The correct variant strips twos, short-circuits on primes, and retries
+    a failed split with fresh random parameters until it splits, so it only
+    returns prime factors; the shared step budget bounds the retries.  The
+    "gcd_x" variant reproduces the seeded bug with neither safeguard.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -96,7 +85,7 @@ def pollards_rho(
         raise ValueError(f"unknown variant {variant!r}")
     if rng is None:
         rng = Rng(0)
-    budget = _StepBudget(step_cap)
+    budget = step_cap
     buggy = variant == "gcd_x"
 
     def try_split(m: int) -> int:
@@ -105,11 +94,12 @@ def pollards_rho(
         Each loop turn advances x once and y twice, three polynomial
         evaluations, debited from the shared budget before the turn runs.
         """
+        nonlocal budget
         x = rng.randint(1, m - 1)
         y = x
         c = rng.randint(1, m - 1)
         d = 1
-        remaining = budget.remaining
+        remaining = budget
         try:
             while d <= 1:
                 if remaining < 3:
@@ -121,7 +111,7 @@ def pollards_rho(
                 y = (t * t + c) % m
                 d = gcd(abs(x - y), x if buggy else m)
         finally:
-            budget.remaining = remaining
+            budget = remaining
         return d
 
     def factor(m: int) -> list[int]:
@@ -132,11 +122,8 @@ def pollards_rho(
         if not buggy and is_prime(m):
             return [m]
         d = try_split(m)
-        if not buggy:
-            restarts = 0
-            while d == m and restarts < _MAX_RESTARTS:
-                restarts += 1
-                d = try_split(m)
+        while d == m and not buggy:
+            d = try_split(m)
         if d == m:
             return [m]
         return factor(d) + factor(m // d)

@@ -141,6 +141,8 @@ def fourier_suite() -> SuiteDefinition:
         return [value + c for value in spectrum], {"c": c}
 
     def relation(x, x_prime, mutation, ctx) -> bool:
+        if len(x_prime) != len(x):
+            return False
         shift = mutation.parameters.get("c", 0.0)
         if abs(x_prime[0].real - (x[0] + shift)) > ctx.eps:
             return False

@@ -29,7 +29,7 @@ def _is_operand(ch: str) -> bool:
     return ch.isalnum()
 
 
-def validate_postfix(s: str) -> bool:
+def validate_postfix(s) -> bool:
     """Stack-validity: tokens are alnum operands or ``+-*/``, evaluation
     never underflows, and exactly one item remains."""
     depth = 0
@@ -47,17 +47,7 @@ def validate_postfix(s: str) -> bool:
 
 def validate_prefix(s: str) -> bool:
     """Stack-validity of the reversed scan used by prefix evaluation."""
-    depth = 0
-    for ch in reversed(s):
-        if _is_operand(ch):
-            depth += 1
-        elif ch in OPERATORS:
-            if depth < 2:
-                return False
-            depth -= 1
-        else:
-            return False
-    return depth == 1
+    return validate_postfix(reversed(s))
 
 
 def postfix_to_prefix(s: str, variant: str = "correct") -> str:

@@ -191,3 +191,9 @@ def test_weighted_mutator_selection_is_deterministic():
     _, reports2 = run_suite(suite, cfg)
     assert names == [r.transcript.mutation.name for r in reports2]
     assert {"a", "b", "c"} == set(names)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
+def test_mutator_weight_must_be_finite_and_positive(weight):
+    with pytest.raises(ConfigError, match="weight"):
+        Mutator("bad", lambda v, ctx: (v, {}), weight)

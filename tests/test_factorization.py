@@ -21,6 +21,10 @@ from retroharness.suites.factorization import (
 # classic wrong answer [2, 2, 2]; found by inverting the generator stream.
 PINNED_BUGGY_SEED = 1491780421826728406
 
+# Seed whose correct-variant walk on the cofactor 9 failed to split it 21
+# times in a row, which once made pollards_rho give up and return 9.
+PINNED_NINE_SEED = 16598743049546701451
+
 
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
@@ -179,3 +183,10 @@ class TestFactorizationSuite:
         )
         assert summary.violations == 0
         assert summary.program_errors == 0
+
+    def test_strict_correct_retries_until_nine_splits(self):
+        suite = factorization_suite(strict=True)
+        report = replay_trial(suite, SuiteConfig(), PINNED_NINE_SEED)
+        assert report.transcript.m1 == 272058401646
+        assert report.transcript.m2 == [2, 3, 3, 3, 5038118549]
+        assert report.verdict.outcome is Outcome.PASS

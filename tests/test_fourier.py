@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -159,6 +160,16 @@ class TestFourierSuite:
             if r.transcript.mutation.name == "add_constant"
         ]
         assert cs and all(0.0 <= c < 1.0 for c in cs)
+
+    @pytest.mark.parametrize(
+        "backward",
+        [lambda x, ctx: idft(x) + [0j], lambda x, ctx: idft(x)[:-1]],
+        ids=["extra_sample", "missing_sample"],
+    )
+    def test_wrong_length_output_is_violation(self, backward):
+        suite = dataclasses.replace(fourier_suite(), backward=backward)
+        summary, _ = run_suite(suite, SuiteConfig(iterations=200))
+        assert summary.violations == 200
 
     def test_impulse_shift_property(self):
         # idft(dft(x) + c) = x + c*e0 for the correct transform.
