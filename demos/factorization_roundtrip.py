@@ -18,9 +18,9 @@ print("correct factorization of 12 :", sorted(pollards_rho(12, "correct", Rng(0)
 PINNED_SEED = 1491780421826728406
 suite = get_suite("factorization")
 report = replay_trial(suite, SuiteConfig(variant_id="gcd_x"), PINNED_SEED)
-print("buggy run on n =", report.transcript.m1,
-      "returns", report.transcript.m2,
-      "-> product", multiply_product(report.transcript.m2))
+print("buggy run on n =", report.m1,
+      "returns", report.m2,
+      "-> product", multiply_product(report.m2))
 print("verdict:", report.verdict.outcome.value, "-", report.verdict.detail, "\n")
 
 summary, _ = run_suite(suite, SuiteConfig(iterations=500, master_seed=42))

@@ -32,5 +32,5 @@ summary, reports = run_suite(
     get_suite("notation"),
     SuiteConfig(iterations=1000, master_seed=42, variant_id="operand_swap"),
 )
-passes = [r.transcript.m1 for r in reports if r.verdict.is_pass]
+passes = [r.m1 for r in reports if r.verdict.is_pass]
 print("inputs the bug survives on:", sorted(set(passes))[:10], "...")

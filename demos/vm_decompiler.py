@@ -32,8 +32,8 @@ for variant in ("correct", "swap_sub"):
 summary, reports = run_suite(
     get_suite("vm"), SuiteConfig(iterations=1000, master_seed=42, variant_id="swap_sub")
 )
-survivors = [r.transcript.m1 for r in reports
-             if r.verdict.is_pass and ("-" in r.transcript.m1 or "/" in r.transcript.m1)]
+survivors = [r.m1 for r in reports
+             if r.verdict.is_pass and ("-" in r.m1 or "/" in r.m1)]
 print("programs with - or / the bug survived on (operands agree under all "
       "sampled environments):")
 for example in survivors[:5]:

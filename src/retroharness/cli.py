@@ -101,15 +101,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_transcript(report, suite) -> None:
-    transcript = report.transcript
     print(f"suite: {report.suite}  variant: {report.variant_id}  mode: {suite.mode.value}")
     print(f"trial_seed: {report.trial_seed}")
-    print(f"m1:         {transcript.m1!r}")
-    print(f"m2:         {transcript.m2!r}")
-    print(f"m2_mutated: {transcript.m2_mutated!r}")
-    print(f"m1_prime:   {transcript.m1_prime!r}")
-    if transcript.mutation is not None:
-        print(f"mutation:   {transcript.mutation.name} {dict(transcript.mutation.parameters)!r}")
+    print(f"m1:         {report.m1!r}")
+    print(f"m2:         {report.m2!r}")
+    print(f"m2_mutated: {report.m2_mutated!r}")
+    print(f"m1_prime:   {report.m1_prime!r}")
+    if report.mutation is not None:
+        print(f"mutation:   {report.mutation.name} {dict(report.mutation.parameters)!r}")
     else:
         print("mutation:   (not reached)")
     verdict = report.verdict

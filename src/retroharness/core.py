@@ -33,7 +33,6 @@ __all__ = [
     "Mutator",
     "IDENTITY_MUTATOR",
     "TrialContext",
-    "Transcript",
     "Variant",
     "SuiteDefinition",
     "SuiteConfig",
@@ -171,22 +170,6 @@ IDENTITY_MUTATOR = Mutator("identity", lambda value, ctx: (value, {}))
 
 
 @dataclass(frozen=True)
-class Transcript:
-    """Full data trail of one trial.
-
-    Stages that were never reached hold ``None``; the pipeline order
-    guarantees ``m1_prime`` is only present when ``m2_mutated`` is, and
-    ``m2_mutated`` only when ``m2`` is.
-    """
-
-    m1: Any = None
-    m2: Any = None
-    m2_mutated: Any = None
-    m1_prime: Any = None
-    mutation: MutationDescriptor | None = None
-
-
-@dataclass(frozen=True)
 class Variant:
     """Program substitution: replaces the forward and/or backward program.
 
@@ -261,12 +244,23 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class TrialReport:
+    """Verdict and full data trail of one trial.
+
+    Stages that were never reached hold ``None``; the pipeline order
+    guarantees ``m1_prime`` is only present when ``m2_mutated`` is, and
+    ``m2_mutated`` only when ``m2`` is.
+    """
+
     suite: str
     variant_id: str
     trial_index: int
     trial_seed: int
     verdict: Verdict
-    transcript: Transcript
+    m1: Any = None
+    m2: Any = None
+    m2_mutated: Any = None
+    m1_prime: Any = None
+    mutation: MutationDescriptor | None = None
 
 
 @dataclass(frozen=True)
@@ -308,10 +302,6 @@ def _select_mutator(mutators: tuple[Mutator, ...], rng: Rng) -> Mutator:
     return mutators[-1]
 
 
-def _render_violation(m1: Any, m1_prime: Any) -> str:
-    return f"relation violated: m1={m1!r} m1_prime={m1_prime!r}"
-
-
 def _execute(
     suite: SuiteDefinition,
     config: SuiteConfig,
@@ -346,17 +336,13 @@ def _execute(
         if suite.relation(m1, m1_prime, mutation, ctx):
             verdict = Verdict.passed()
         else:
-            verdict = Verdict.violation(_render_violation(m1, m1_prime))
+            verdict = Verdict.violation(f"relation violated: m1={m1!r} m1_prime={m1_prime!r}")
     except Exception as exc:  # noqa: BLE001 - program failures become verdicts
         verdict = Verdict.program_error(stage, f"{type(exc).__name__}: {exc}")
 
     return TrialReport(
-        suite=suite.name,
-        variant_id=config.variant_id,
-        trial_index=trial_index,
-        trial_seed=trial_seed,
-        verdict=verdict,
-        transcript=Transcript(m1, m2, m2_mutated, m1_prime, mutation),
+        suite.name, config.variant_id, trial_index, trial_seed, verdict,
+        m1, m2, m2_mutated, m1_prime, mutation,
     )
 
 
@@ -391,11 +377,12 @@ def run_suite(
     config.validate(suite)
     started = time.perf_counter()
 
-    reports = [run_trial(suite, config, index) for index in range(config.iterations)]
-
+    reports = []
     counts = {Outcome.PASS: 0, Outcome.VIOLATION: 0, Outcome.PROGRAM_ERROR: 0}
     first_failure: TrialReport | None = None
-    for report in reports:
+    for index in range(config.iterations):
+        report = run_trial(suite, config, index)
+        reports.append(report)
         counts[report.verdict.outcome] += 1
         if first_failure is None and not report.verdict.is_pass:
             first_failure = report

@@ -10,6 +10,7 @@ agree by construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,9 +26,11 @@ __all__ = [
     "eval_ast",
     "variables",
     "trunc_div",
+    "APPLY",
+    "OPERATORS",
+    "VARIABLES",
 ]
 
-OPERATORS = "+-*/"
 VARIABLES = "abcde"
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
@@ -73,6 +76,13 @@ def trunc_div(a: int, b: int) -> int:
         raise EvalError("div_by_zero", "division by zero")
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
+
+
+# The one table of binary operators: their symbols, in the order generators
+# draw them, and their integer semantics, shared by the tree evaluator here
+# and the bytecode VM.
+APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": trunc_div}
+OPERATORS = "".join(APPLY)
 
 
 class _Parser:
@@ -162,15 +172,7 @@ def eval_ast(node: ExprNode, env: dict[str, int]) -> int:
             return env[node.name]
         except KeyError:
             raise EvalError("unbound_variable", f"unbound variable {node.name!r}") from None
-    left = eval_ast(node.left, env)
-    right = eval_ast(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return trunc_div(left, right)
+    return APPLY[node.op](eval_ast(node.left, env), eval_ast(node.right, env))
 
 
 def variables(node: ExprNode) -> set[str]:

@@ -9,10 +9,10 @@ whose integer-drawing internals are an implementation detail).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import string
+from typing import Sequence
 
-if TYPE_CHECKING:
-    from .expr import ExprNode
+from .expr import OPERATORS, VARIABLES, BinOp, Const, ExprNode, Var
 
 __all__ = [
     "Rng",
@@ -26,8 +26,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-POSTFIX_OPERATORS = "+-*/"
-POSTFIX_OPERANDS = "abcdefghijklmnopqrstuvwxyz0123456789"
+POSTFIX_OPERANDS = string.ascii_lowercase + string.digits
 
 
 def _mix64(z: int) -> int:
@@ -105,7 +104,7 @@ def _postfix_tree(rng: Rng, n_ops: int) -> str:
     left_ops = rng.randint(0, n_ops - 1)
     left = _postfix_tree(rng, left_ops)
     right = _postfix_tree(rng, n_ops - 1 - left_ops)
-    return left + right + rng.choice(POSTFIX_OPERATORS)
+    return left + right + rng.choice(OPERATORS)
 
 
 def gen_postfix(rng: Rng, max_internal_nodes: int = 6) -> str:
@@ -121,17 +120,15 @@ def gen_postfix(rng: Rng, max_internal_nodes: int = 6) -> str:
     return _postfix_tree(rng, rng.randint(0, max_internal_nodes))
 
 
-def gen_expr_ast(rng: Rng, max_depth: int = 4) -> "ExprNode":
+def gen_expr_ast(rng: Rng, max_depth: int = 4) -> ExprNode:
     """Random expression tree over constants 0-9, variables a-e, ``+-*/``."""
-    from .expr import BinOp, Const, Var
-
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_depth == 1 or rng.random() < 0.25:
         if rng.random() < 0.5:
             return Const(rng.randint(0, 9))
-        return Var(rng.choice("abcde"))
-    op = rng.choice("+-*/")
+        return Var(rng.choice(VARIABLES))
+    op = rng.choice(OPERATORS)
     return BinOp(op, gen_expr_ast(rng, max_depth - 1), gen_expr_ast(rng, max_depth - 1))
 
 

@@ -17,13 +17,9 @@ SCHEMA_VERSION = 1
 
 
 def trial_record(report: TrialReport, suite: SuiteDefinition) -> dict[str, Any]:
-    transcript = report.transcript
     mutation = None
-    if transcript.mutation is not None:
-        mutation = {
-            "name": transcript.mutation.name,
-            "parameters": dict(transcript.mutation.parameters),
-        }
+    if report.mutation is not None:
+        mutation = {"name": report.mutation.name, "parameters": dict(report.mutation.parameters)}
     verdict: dict[str, Any] = {"kind": report.verdict.outcome.value}
     if report.verdict.stage is not None:
         verdict["stage"] = report.verdict.stage.value
@@ -38,8 +34,8 @@ def trial_record(report: TrialReport, suite: SuiteDefinition) -> dict[str, Any]:
         "mode": suite.mode.value,
         "mutation": mutation,
         "verdict": verdict,
-        "m1_repr": repr(transcript.m1) if transcript.m1 is not None else "",
-        "m1_prime_repr": repr(transcript.m1_prime) if transcript.m1_prime is not None else "",
+        "m1_repr": repr(report.m1) if report.m1 is not None else "",
+        "m1_prime_repr": repr(report.m1_prime) if report.m1_prime is not None else "",
     }
 
 

@@ -11,6 +11,7 @@ whose tree is not mirror-symmetric is detected.
 from __future__ import annotations
 
 from ..core import IDENTITY_MUTATOR, Mode, SuiteDefinition, TrialContext, Variant
+from ..expr import OPERATORS
 from ..generators import gen_postfix
 
 __all__ = [
@@ -21,8 +22,6 @@ __all__ = [
     "prefix_to_postfix",
     "notation_suite",
 ]
-
-OPERATORS = "+-*/"
 
 
 def _is_operand(ch: str) -> bool:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..core import Mode, SuiteDefinition, TrialContext, Variant
 from ..expr import (
+    APPLY,
     BinOp,
     Const,
     EvalError,
@@ -26,7 +27,6 @@ from ..expr import (
     eval_ast,
     parse_infix,
     print_infix,
-    trunc_div,
     variables,
 )
 from ..generators import gen_env, gen_expr_ast
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 _BINARY_OPS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/"}
-_OP_MNEMONIC = {"+": "ADD", "-": "SUB", "*": "MUL", "/": "DIV"}
+_OP_MNEMONIC = {op: mnemonic for mnemonic, op in _BINARY_OPS.items()}
 
 ENVS_PER_TRIAL = 8
 
@@ -92,14 +92,7 @@ def run_vm(code: list[Instr], env: dict[str, int]) -> int:
                 raise EvalError("stack_underflow", f"stack underflow at {instr.op}")
             right = stack.pop()
             left = stack.pop()
-            if instr.op == "ADD":
-                stack.append(left + right)
-            elif instr.op == "SUB":
-                stack.append(left - right)
-            elif instr.op == "MUL":
-                stack.append(left * right)
-            else:
-                stack.append(trunc_div(left, right))
+            stack.append(APPLY[_BINARY_OPS[instr.op]](left, right))
         else:
             raise ValueError(f"unknown instruction {instr.op!r}")
     if len(stack) != 1:

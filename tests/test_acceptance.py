@@ -154,10 +154,10 @@ def test_criterion_3_fourier_correctness():
         )
         assert summary.violations == 0
         assert summary.program_errors == 0
-        assert all(1 <= len(r.transcript.m1) <= 64 for r in reports)
-        mutators = {r.transcript.mutation.name for r in reports}
+        assert all(1 <= len(r.m1) <= 64 for r in reports)
+        mutators = {r.mutation.name for r in reports}
         assert mutators == {"identity", "add_constant"}
-        shifted = [r for r in reports if r.transcript.mutation.name == "add_constant"]
+        shifted = [r for r in reports if r.mutation.name == "add_constant"]
         assert shifted and all(r.verdict.outcome is Outcome.PASS for r in shifted)
 
 
@@ -169,7 +169,7 @@ def test_criterion_4_factorization():
         )
         assert summary.violations == 0
         assert summary.program_errors == 0
-        assert all(2 <= r.transcript.m1 <= 10**12 for r in reports)
+        assert all(2 <= r.m1 <= 10**12 for r in reports)
 
         strict_summary, strict_reports = run_suite(
             get_suite("factorization_strict"),
@@ -178,17 +178,17 @@ def test_criterion_4_factorization():
         assert strict_summary.violations == 0
         assert strict_summary.program_errors == 0
         assert all(
-            all(is_prime(f) for f in r.transcript.m2) for r in strict_reports
+            all(is_prime(f) for f in r.m2) for r in strict_reports
         )
 
         # Pinned replay of the classic wrong split of 12.
         replay = replay_trial(
             suite, SuiteConfig(variant_id="gcd_x"), PINNED_FACTORIZATION_SEED
         )
-        assert replay.transcript.m1 == 12
-        assert sorted(replay.transcript.m2) == [2, 2, 2]
-        assert multiply_product(replay.transcript.m2) == 8
-        assert replay.transcript.m1_prime == 8
+        assert replay.m1 == 12
+        assert sorted(replay.m2) == [2, 2, 2]
+        assert multiply_product(replay.m2) == 8
+        assert replay.m1_prime == 8
         assert replay.verdict.outcome is Outcome.VIOLATION
 
         # Detection over 1000 trials.  The work bound here is smaller than
@@ -222,7 +222,7 @@ def test_criterion_5_notation():
             get_suite("notation"),
             SuiteConfig(iterations=1000, master_seed=42, variant_id="operand_swap"),
         )
-        with_ops = [r for r in reports if any(ch in "+-*/" for ch in r.transcript.m1)]
+        with_ops = [r for r in reports if any(ch in "+-*/" for ch in r.m1)]
         violated = [r for r in with_ops if r.verdict.outcome is Outcome.VIOLATION]
         assert len(violated) / len(with_ops) >= 0.90
 
@@ -252,7 +252,7 @@ def test_criterion_6_vm():
             SuiteConfig(iterations=1000, master_seed=42, variant_id="swap_sub"),
         )
         with_sub_div = [
-            r for r in reports if "-" in r.transcript.m1 or "/" in r.transcript.m1
+            r for r in reports if "-" in r.m1 or "/" in r.m1
         ]
         violated = [r for r in with_sub_div if r.verdict.outcome is Outcome.VIOLATION]
         assert len(violated) / len(with_sub_div) >= 0.70

@@ -46,7 +46,7 @@ def _echo_suite(mutators=(IDENTITY_MUTATOR,), relation=None, forward=None, backw
 
 def test_run_trial_pass_records_full_transcript():
     report = run_trial(_echo_suite(), SuiteConfig(), 3)
-    t = report.transcript
+    t = report
     assert report.verdict.outcome is Outcome.PASS
     assert t.m1 == t.m2 == t.m2_mutated == t.m1_prime
     assert t.mutation.name == "identity"
@@ -58,8 +58,8 @@ def test_identity_mutation_is_bit_transparent():
     marker = object()
     suite = _echo_suite(forward=lambda v, ctx: marker)
     report = run_trial(suite, SuiteConfig(), 0)
-    assert report.transcript.m2 is marker
-    assert report.transcript.m2_mutated is marker
+    assert report.m2 is marker
+    assert report.m2_mutated is marker
 
 
 def test_forward_failure_yields_program_error_and_skips_later_stages():
@@ -70,7 +70,7 @@ def test_forward_failure_yields_program_error_and_skips_later_stages():
     assert report.verdict.outcome is Outcome.PROGRAM_ERROR
     assert report.verdict.stage is Stage.FORWARD_EXEC
     assert "boom" in report.verdict.detail
-    t = report.transcript
+    t = report
     assert t.m1 is not None
     assert t.m2 is None and t.m2_mutated is None and t.m1_prime is None
 
@@ -81,7 +81,7 @@ def test_backward_failure_keeps_m2_but_not_m1_prime():
 
     report = run_trial(_echo_suite(backward=broken), SuiteConfig(), 0)
     assert report.verdict.stage is Stage.BACKWARD_EXEC
-    t = report.transcript
+    t = report
     assert t.m2 is not None and t.m2_mutated is not None
     assert t.m1_prime is None
 
@@ -161,7 +161,7 @@ def test_replay_matches_run_trial():
     cfg = SuiteConfig(master_seed=7)
     original = run_trial(suite, cfg, 11)
     replayed = replay_trial(suite, cfg, original.trial_seed)
-    assert replayed.transcript.m1 == original.transcript.m1
+    assert replayed.m1 == original.m1
     assert replayed.verdict == original.verdict
 
 
@@ -187,9 +187,9 @@ def test_weighted_mutator_selection_is_deterministic():
     suite = _echo_suite(mutators=(tag("a"), tag("b"), tag("c")))
     cfg = SuiteConfig(iterations=30)
     _, reports = run_suite(suite, cfg)
-    names = [r.transcript.mutation.name for r in reports]
+    names = [r.mutation.name for r in reports]
     _, reports2 = run_suite(suite, cfg)
-    assert names == [r.transcript.mutation.name for r in reports2]
+    assert names == [r.mutation.name for r in reports2]
     assert {"a", "b", "c"} == set(names)
 
 

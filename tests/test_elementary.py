@@ -12,12 +12,12 @@ class TestSineForward:
     def test_zero_is_a_fixed_point(self, force_input):
         report = force_input(sine_forward_suite(), 0.0)
         assert report.verdict.outcome is Outcome.PASS
-        assert report.transcript.m1_prime == 0.0
+        assert report.m1_prime == 0.0
 
     def test_quarter_pi_round_trips(self, force_input):
         report = force_input(sine_forward_suite(), math.pi / 4)
         assert report.verdict.outcome is Outcome.PASS
-        assert abs(report.transcript.m1_prime - math.pi / 4) <= 1e-10
+        assert abs(report.m1_prime - math.pi / 4) <= 1e-10
 
     def test_taylor_bug_detected_at_x_1_5(self, force_input):
         # The truncated series overshoots: 1.5 - 1.5^3/6 + 1.5^5/120 > 1,
@@ -26,7 +26,7 @@ class TestSineForward:
         assert overshoot > 1.0
         report = force_input(sine_forward_suite(), 1.5, variant="taylor3")
         assert report.verdict.outcome is Outcome.VIOLATION
-        assert abs(report.transcript.m1_prime - math.pi / 2) < 1e-12
+        assert abs(report.m1_prime - math.pi / 2) < 1e-12
 
     def test_correct_variant_holds_across_domain(self):
         summary, _ = run_suite(sine_forward_suite(), SuiteConfig(iterations=10_000))
@@ -45,20 +45,20 @@ class TestSineBackward:
             sine_backward_suite(), SuiteConfig(iterations=2000, master_seed=5)
         )
         assert summary.violations == 0
-        ks = {r.transcript.mutation.parameters["k"] for r in reports}
+        ks = {r.mutation.parameters["k"] for r in reports}
         assert ks == set(range(-3, 4))
 
     def test_taylor_bug_diverges_after_turn_shift(self, force_input):
         report = force_input(sine_backward_suite(), 0.5, variant="taylor3", seed=3)
-        k = report.transcript.mutation.parameters["k"]
+        k = report.mutation.parameters["k"]
         if k == 0:
             # Draw a seed whose shift is nonzero to show the gross divergence.
             for seed in range(10):
                 report = force_input(sine_backward_suite(), 0.5, variant="taylor3", seed=seed)
-                if report.transcript.mutation.parameters["k"] != 0:
+                if report.mutation.parameters["k"] != 0:
                     break
         assert report.verdict.outcome is Outcome.VIOLATION
-        assert abs(report.transcript.m1_prime - 0.5) > 1.0
+        assert abs(report.m1_prime - 0.5) > 1.0
 
     def test_buggy_variant_detected_within_1000(self):
         summary, _ = run_suite(
@@ -71,8 +71,8 @@ class TestReciprocal:
     def test_involution_at_4(self, force_input):
         report = force_input(reciprocal_integrated_suite(), 4.0)
         assert report.verdict.outcome is Outcome.PASS
-        assert report.transcript.m2 == 0.25
-        assert report.transcript.m1_prime == 4.0
+        assert report.m2 == 0.25
+        assert report.m1_prime == 4.0
 
     def test_involution_at_negative_2(self, force_input):
         report = force_input(reciprocal_integrated_suite(), -2.0)
@@ -81,12 +81,12 @@ class TestReciprocal:
     def test_offset_bug_at_4(self, force_input):
         report = force_input(reciprocal_integrated_suite(), 4.0, variant="off_by_eps")
         assert report.verdict.outcome is Outcome.VIOLATION
-        deviation = abs(report.transcript.m1_prime - 4.0)
+        deviation = abs(report.m1_prime - 4.0)
         assert 1e-5 < deviation < 1e-4  # about 1.6e-5
 
     def test_generator_never_emits_near_zero(self):
         _, reports = run_suite(reciprocal_integrated_suite(), SuiteConfig(iterations=2000))
-        assert all(abs(r.transcript.m1) >= 1e-3 for r in reports)
+        assert all(abs(r.m1) >= 1e-3 for r in reports)
 
     def test_correct_variant_is_involution(self):
         summary, _ = run_suite(reciprocal_integrated_suite(), SuiteConfig(iterations=10_000))

@@ -126,21 +126,21 @@ class TestFactorizationSuite:
     def test_twelve_passes(self, force_input):
         report = force_input(factorization_suite(), 12)
         assert report.verdict.outcome is Outcome.PASS
-        assert sorted(report.transcript.m2) == [2, 2, 3]
-        assert report.transcript.m1_prime == 12
+        assert sorted(report.m2) == [2, 2, 3]
+        assert report.m1_prime == 12
 
     def test_prime_input_passes(self, force_input):
         report = force_input(factorization_suite(), 2)
         assert report.verdict.outcome is Outcome.PASS
-        assert report.transcript.m2 == [2]
+        assert report.m2 == [2]
 
     def test_pinned_replay_violates(self):
         suite = factorization_suite()
         config = SuiteConfig(variant_id="gcd_x")
         report = replay_trial(suite, config, PINNED_BUGGY_SEED)
-        assert report.transcript.m1 == 12
-        assert sorted(report.transcript.m2) == [2, 2, 2]
-        assert report.transcript.m1_prime == 8
+        assert report.m1 == 12
+        assert sorted(report.m2) == [2, 2, 2]
+        assert report.m1_prime == 8
         assert report.verdict.outcome is Outcome.VIOLATION
 
     def test_pinned_replay_is_stable(self):
@@ -153,7 +153,7 @@ class TestFactorizationSuite:
     def test_correct_variant_on_same_seed_passes(self):
         suite = factorization_suite()
         report = replay_trial(suite, SuiteConfig(), PINNED_BUGGY_SEED)
-        assert report.transcript.m1 == 12
+        assert report.m1 == 12
         assert report.verdict.outcome is Outcome.PASS
 
     def test_step_cap_exhaustion_is_forward_error(self, force_input):
@@ -187,6 +187,6 @@ class TestFactorizationSuite:
     def test_strict_correct_retries_until_nine_splits(self):
         suite = factorization_suite(strict=True)
         report = replay_trial(suite, SuiteConfig(), PINNED_NINE_SEED)
-        assert report.transcript.m1 == 272058401646
-        assert report.transcript.m2 == [2, 3, 3, 3, 5038118549]
+        assert report.m1 == 272058401646
+        assert report.m2 == [2, 3, 3, 3, 5038118549]
         assert report.verdict.outcome is Outcome.PASS

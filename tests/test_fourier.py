@@ -129,11 +129,11 @@ class TestFourierSuite:
     def test_buggy_forced_input_violates_with_oracle_values(self, force_input):
         report = force_input(fourier_suite(), [1.0, 0.0, 1.0, 0.0], variant="coef_minus_1j", seed=1)
         # seed 1 selects the identity mutator for this trial
-        assert report.transcript.mutation.name == "identity"
+        assert report.mutation.name == "identity"
         assert report.verdict.outcome is Outcome.VIOLATION
         expected = oracle_idft(oracle_dft([1.0, 0.0, 1.0, 0.0], -1j), -1j)
-        assert_close(report.transcript.m1_prime, expected)
-        assert_close([v.real for v in report.transcript.m1_prime], [1.0, 0.5, 1.0, 0.5])
+        assert_close(report.m1_prime, expected)
+        assert_close([v.real for v in report.m1_prime], [1.0, 0.5, 1.0, 0.5])
 
     def test_correct_relation_accepts_unit_shift(self):
         # Adding 1 to the whole spectrum moves exactly the first sample.
@@ -149,15 +149,15 @@ class TestFourierSuite:
     def test_correct_passes_under_both_mutators(self):
         summary, reports = run_suite(fourier_suite(), SuiteConfig(iterations=300, master_seed=9))
         assert summary.violations == 0 and summary.program_errors == 0
-        names = {r.transcript.mutation.name for r in reports}
+        names = {r.mutation.name for r in reports}
         assert names == {"identity", "add_constant"}
 
     def test_add_constant_draws_c_in_unit_interval(self):
         _, reports = run_suite(fourier_suite(), SuiteConfig(iterations=200, master_seed=4))
         cs = [
-            r.transcript.mutation.parameters["c"]
+            r.mutation.parameters["c"]
             for r in reports
-            if r.transcript.mutation.name == "add_constant"
+            if r.mutation.name == "add_constant"
         ]
         assert cs and all(0.0 <= c < 1.0 for c in cs)
 

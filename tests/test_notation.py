@@ -104,13 +104,13 @@ class TestNotationSuite:
     def test_correct_round_trip_passes(self, force_input):
         report = force_input(notation_suite(), "56a*+")
         assert report.verdict.outcome is Outcome.PASS
-        assert report.transcript.m1_prime == "56a*+"
+        assert report.m1_prime == "56a*+"
 
     def test_buggy_round_trip_violates(self, force_input):
         report = force_input(notation_suite(), "56a*+", variant="operand_swap")
         assert report.verdict.outcome is Outcome.VIOLATION
-        assert report.transcript.m2 == "+*a65"
-        assert report.transcript.m1_prime == "a6*5+"
+        assert report.m2 == "+*a65"
+        assert report.m1_prime == "a6*5+"
 
     def test_bug_invisible_on_single_operand(self, force_input):
         report = force_input(notation_suite(), "a", variant="operand_swap")
@@ -133,7 +133,7 @@ class TestNotationSuite:
             suite, SuiteConfig(iterations=500, variant_id="operand_swap")
         )
         for report in reports:
-            s = report.transcript.m1
+            s = report.m1
             symmetric = tree_to_postfix(mirror(postfix_to_tree(s))) == s
             expected = Outcome.PASS if symmetric else Outcome.VIOLATION
             assert report.verdict.outcome is expected

@@ -161,12 +161,12 @@ class TestVmSuite:
     def test_correct_decompiler_passes(self, force_input):
         report = force_input(vm_suite(), "(1+2)*4")
         assert report.verdict.outcome is Outcome.PASS
-        assert report.transcript.m1_prime == "(1+2)*4"
+        assert report.m1_prime == "(1+2)*4"
 
     def test_swap_sub_violates_on_subtraction(self, force_input):
         report = force_input(vm_suite(), "5-3", variant="swap_sub")
         assert report.verdict.outcome is Outcome.VIOLATION
-        assert report.transcript.m1_prime == "3-5"
+        assert report.m1_prime == "3-5"
 
     def test_swap_sub_invisible_on_commutative_program(self, force_input):
         report = force_input(vm_suite(), "a+b", variant="swap_sub")
