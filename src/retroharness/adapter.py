@@ -4,7 +4,9 @@ The external program is a long-lived child process speaking a
 newline-delimited JSON protocol on stdin/stdout: each request is one line
 ``{"id": n, "data": <datum>}`` and the matching response is one line
 ``{"id": n, "data": <datum>}`` on success or ``{"id": n, "error": "..."}``
-on failure.  At most one request is in flight per process.  A response
+on failure.  Requests are strict JSON: a datum holding NaN or an infinity
+is refused before it is sent.  At most one request is in flight per
+process.  A response
 timeout or a dead child yields a program error for that trial and the
 child is restarted before the next request.
 """
@@ -104,11 +106,15 @@ class ExternalProgram:
         return line
 
     def __call__(self, value: Any, ctx: TrialContext | None = None) -> Any:
+        request_id = self._next_id
+        try:
+            request = json.dumps({"id": request_id, "data": value}, allow_nan=False) + "\n"
+        except ValueError as exc:
+            # NaN and infinities have no JSON spelling; the child is untouched.
+            raise ExternalProgramError(f"datum is not JSON: {exc}") from exc
+        self._next_id += 1
         if self._child is None or self._child.poll() is not None:
             self._spawn()
-        request_id = self._next_id
-        self._next_id += 1
-        request = json.dumps({"id": request_id, "data": value}) + "\n"
         try:
             self._child.stdin.write(request.encode("utf-8"))
             self._child.stdin.flush()

@@ -235,8 +235,8 @@ class SuiteConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
-        if self.eps < 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
         if self.step_cap < 1:
             raise ConfigError(f"step_cap must be >= 1, got {self.step_cap}")
         suite.resolve(self.variant_id)

@@ -140,7 +140,8 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
     """Forward-mode suite over n in [2, 10^12].
 
     The plain relation checks the product alone; the strict profile also
-    requires every returned factor to pass the primality test.
+    requires every returned factor to be an ``int`` that passes the
+    primality test.
     """
 
     def generate(ctx: TrialContext) -> int:
@@ -159,7 +160,10 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
         return n_prime == n
 
     def relation_strict(n, n_prime, mutation, ctx) -> bool:
-        return n_prime == n and all(is_prime(f) for f in ctx.m2_mutated)
+        return n_prime == n and all(
+            isinstance(f, int) and not isinstance(f, bool) and is_prime(f)
+            for f in ctx.m2_mutated
+        )
 
     return SuiteDefinition(
         name="factorization_strict" if strict else "factorization",

@@ -169,8 +169,8 @@ def vm_suite() -> SuiteDefinition:
 
     The relation samples eight environments per trial and compares the
     observed behavior of the original and decompiled sources.  Decompiler
-    output that fails to parse counts as a violation, since unparsable
-    source is observable misbehavior.
+    output that is not a string or fails to parse counts as a violation,
+    since unparsable source is observable misbehavior.
     """
 
     def generate(ctx: TrialContext) -> str:
@@ -186,6 +186,8 @@ def vm_suite() -> SuiteDefinition:
         return decompile(code, "swap_sub")
 
     def relation(src, src_prime, mutation, ctx) -> bool:
+        if not isinstance(src_prime, str):
+            return False
         original = parse_infix(src)
         try:
             returned = parse_infix(src_prime)

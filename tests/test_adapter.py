@@ -105,6 +105,17 @@ class TestExternalProgram:
             except ExternalProgramError:
                 assert program(3, ctx) == 3
 
+    @pytest.mark.parametrize("datum", [float("nan"), float("inf"), [1.0, float("-inf")]],
+                             ids=["nan", "inf", "nested_minus_inf"])
+    def test_non_json_datum_is_refused_without_restart(self, datum):
+        with ExternalProgram(fixture_command(ECHO)) as program:
+            ctx = make_ctx()
+            pid = program._child.pid
+            with pytest.raises(ExternalProgramError, match="not JSON"):
+                program(datum, ctx)
+            assert program(2.5, ctx) == 2.5
+            assert program._child.pid == pid
+
     def test_malformed_response_is_program_error(self):
         with ExternalProgram(fixture_command(MALFORMED), timeout=2.0) as program:
             with pytest.raises(ExternalProgramError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from retroharness.core import (
@@ -176,6 +178,20 @@ class TestFactorizationSuite:
             m2_mutated = [2, 2, 3]
 
         assert suite.relation(12, 12, None, CtxGood())
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [(6, [2.0, 3.0]), (1000003, [1000003.0])],
+        ids=["float_factors_of_6", "float_prime_1000003"],
+    )
+    def test_strict_profile_rejects_float_factors(self, force_input, n, factors):
+        assert is_prime(1000003)
+        suite = dataclasses.replace(
+            factorization_suite(strict=True), forward=lambda value, ctx: list(factors)
+        )
+        report = force_input(suite, n)
+        assert report.m1_prime == n
+        assert report.verdict.outcome is Outcome.VIOLATION
 
     def test_strict_correct_clean_over_300(self):
         summary, _ = run_suite(

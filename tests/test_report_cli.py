@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from retroharness.cli import main
 from retroharness.core import SuiteConfig, get_suite, run_suite
 from retroharness.report import SCHEMA_VERSION, read_records, render_records
@@ -98,6 +100,12 @@ class TestCliRun:
     def test_unknown_variant_exits_two(self):
         assert main(["run", "--suite", "fourier", "--variant", "nope"]) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_two(self, eps, capsys):
+        code = main(["run", "--suite", "reciprocal", "--iterations", "20", "--eps", eps])
+        assert code == 2
+        assert "eps must be finite" in capsys.readouterr().err
+
     def test_missing_suite_exits_two(self):
         assert main(["run", "--iterations", "5"]) == 2
 
@@ -159,6 +167,13 @@ class TestCliConfigFile:
         cfg.write_text(json.dumps({"suite": "reciprocal", "variant": "off_by_eps",
                                    "iterations": 20, "eps": 1}))
         assert main(["run", "--config", str(cfg)]) == 0
+
+    def test_nan_eps_rejected(self, tmp_path, capsys):
+        # json.load accepts the non-standard NaN token as a float.
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"suite": "reciprocal", "iterations": 20, "eps": NaN}')
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "eps must be finite" in capsys.readouterr().err
 
     def test_config_report_path(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from retroharness.core import Outcome, SuiteConfig, run_suite
@@ -176,6 +178,12 @@ class TestVmSuite:
         # 0/0 reverses to 0/0 under the swap, so both sides fail alike.
         report = force_input(vm_suite(), "0/0", variant="swap_sub")
         assert report.verdict.outcome is Outcome.PASS
+
+    @pytest.mark.parametrize("returned", [None, 42], ids=["none", "int"])
+    def test_non_string_source_is_violation(self, force_input, returned):
+        suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: returned)
+        report = force_input(suite, "(1+2)*4")
+        assert report.verdict.outcome is Outcome.VIOLATION
 
     def test_correct_variant_clean_over_1000(self):
         summary, _ = run_suite(vm_suite(), SuiteConfig(iterations=1000))
