@@ -4,8 +4,8 @@ Expressions cover integer constants 0-9, variables a-e, the four binary
 operators with standard precedence, and parentheses.  The printer emits
 minimal parentheses such that re-parsing reconstructs the identical tree.
 Division is truncated integer division (rounds toward zero); the bytecode
-virtual machine in the vm suite shares the same helper so both evaluators
-agree by construction.
+virtual machine in the vm suite applies operators through the same table,
+``APPLY``, so both evaluators agree by construction.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ def trunc_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# The one table of binary operators: their symbols, in the order generators
-# draw them, and their integer semantics, shared by the tree evaluator here
-# and the bytecode VM.
+# Operator symbols and their integer semantics, shared by eval_ast and the
+# vm suite's run_vm.  Key order is the order generators draw operators in.
 APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": trunc_div}
 OPERATORS = "".join(APPLY)
 

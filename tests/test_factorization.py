@@ -185,7 +185,6 @@ class TestFactorizationSuite:
         ids=["float_factors_of_6", "float_prime_1000003"],
     )
     def test_strict_profile_rejects_float_factors(self, force_input, n, factors):
-        assert is_prime(1000003)
         suite = dataclasses.replace(
             factorization_suite(strict=True), forward=lambda value, ctx: list(factors)
         )
