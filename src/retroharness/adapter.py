@@ -69,14 +69,11 @@ class ExternalProgram:
             raise ConfigError(f"cannot start external program {self.command!r}: {exc}") from exc
         self._buffer = b""
 
-    def _kill(self) -> None:
+    def close(self) -> None:
         if self._child is not None:
             self._child.kill()
             self._child.wait()
             self._child = None
-
-    def close(self) -> None:
-        self._kill()
 
     def __enter__(self) -> "ExternalProgram":
         return self
@@ -121,19 +118,19 @@ class ExternalProgram:
             line = self._read_line(self.timeout)
         except ExternalProgramError:
             # Drop the child; the next call starts a clean one.
-            self._kill()
+            self.close()
             raise
         except (BrokenPipeError, OSError) as exc:
-            self._kill()
+            self.close()
             raise ExternalProgramError(f"external program pipe failed: {exc}") from exc
 
         try:
             response = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._kill()
+            self.close()
             raise ExternalProgramError(f"malformed response line: {line!r}") from exc
         if not isinstance(response, dict) or response.get("id") != request_id:
-            self._kill()
+            self.close()
             raise ExternalProgramError(f"response does not match request id: {response!r}")
         if "error" in response:
             raise ExternalProgramError(f"external program error: {response['error']}")

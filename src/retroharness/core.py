@@ -147,23 +147,15 @@ MutateFn = Callable[[Any, TrialContext], "tuple[Any, dict[str, Any]]"]
 
 @dataclass(frozen=True)
 class Mutator:
-    """A named intermediate-datum transformation with a selection weight.
+    """A named intermediate-datum transformation.
 
     ``apply(m2, ctx)`` returns the mutated datum and the parameter map for
     the mutation descriptor.  The identity mutator returns its argument
     unchanged (the same object, so identity trials are bit-identical).
-    The weight must be finite and positive.
     """
 
     name: str
     apply: MutateFn
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.weight < math.inf:
-            raise ConfigError(
-                f"mutator {self.name!r} needs a finite weight > 0, got {self.weight!r}"
-            )
 
 
 IDENTITY_MUTATOR = Mutator("identity", lambda value, ctx: (value, {}))
@@ -292,14 +284,7 @@ def _select_mutator(mutators: tuple[Mutator, ...], rng: Rng) -> Mutator:
     # streams are unaffected by mutator bookkeeping.
     if len(mutators) == 1:
         return mutators[0]
-    total = sum(m.weight for m in mutators)
-    pick = rng.random() * total
-    acc = 0.0
-    for mutator in mutators:
-        acc += mutator.weight
-        if pick < acc:
-            return mutator
-    return mutators[-1]
+    return mutators[int(rng.random() * len(mutators))]
 
 
 def _execute(

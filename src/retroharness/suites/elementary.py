@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import IDENTITY_MUTATOR, Mode, Mutator, SuiteDefinition, Variant, TrialContext
+from ..core import Mode, Mutator, SuiteDefinition, Variant, TrialContext
 
 __all__ = [
     "sine_forward_suite",
@@ -123,7 +123,6 @@ def reciprocal_integrated_suite() -> SuiteDefinition:
         forward=_reciprocal,
         backward=_reciprocal,
         relation=relation,
-        mutators=(IDENTITY_MUTATOR,),
         variants={
             "correct": Variant(),
             "off_by_eps": Variant(forward=_reciprocal_off, backward=_reciprocal_off),

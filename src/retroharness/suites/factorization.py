@@ -67,8 +67,8 @@ def is_prime(n: int) -> bool:
 
 def pollards_rho(
     n: int,
-    variant: str = "correct",
-    rng: Rng | None = None,
+    variant: str,
+    rng: Rng,
     step_cap: int = 10_000_000,
 ) -> list[int]:
     """Factor n with Pollard's rho; the total number of polynomial
@@ -83,8 +83,6 @@ def pollards_rho(
         raise ValueError(f"n must be >= 1, got {n}")
     if variant not in ("correct", "gcd_x"):
         raise ValueError(f"unknown variant {variant!r}")
-    if rng is None:
-        rng = Rng(0)
     budget = step_cap
     buggy = variant == "gcd_x"
 

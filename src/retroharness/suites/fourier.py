@@ -36,7 +36,6 @@ from ..core import (
 from ..generators import gen_real_sequence
 
 __all__ = [
-    "VARIANTS",
     "dft",
     "idft",
     "fft",
@@ -46,8 +45,6 @@ __all__ = [
     "differential_baseline",
     "manual_fixture_check",
 ]
-
-VARIANTS = ("correct", "coef_minus_1j")
 
 # Exponent coefficient per variant; the buggy one is -1j where -2j belongs.
 _COEF = {"correct": -2j, "coef_minus_1j": -1j}
@@ -65,22 +62,22 @@ def _transform_matrix(n: int, coef: complex) -> np.ndarray:
     return np.exp(coef * np.pi / n * np.outer(k, k))
 
 
-def dft(x, variant: str = "correct") -> list[complex]:
-    """Direct-summation transform; O(N^2)."""
-    coef = _coef(variant)
+def _transform(x, coef: complex) -> np.ndarray:
     a = np.asarray(list(x), dtype=complex)
     if a.size == 0:
         raise ValueError("empty sequence")
-    return [complex(v) for v in _transform_matrix(a.size, coef) @ a]
+    return _transform_matrix(a.size, coef) @ a
+
+
+def dft(x, variant: str = "correct") -> list[complex]:
+    """Direct-summation transform; O(N^2)."""
+    return [complex(v) for v in _transform(x, _coef(variant))]
 
 
 def idft(x, variant: str = "correct") -> list[complex]:
     """Inverse transform: conjugated exponent and 1/N scaling."""
-    coef = _coef(variant)
-    a = np.asarray(list(x), dtype=complex)
-    if a.size == 0:
-        raise ValueError("empty sequence")
-    return [complex(v) for v in (_transform_matrix(a.size, -coef) @ a) / a.size]
+    y = _transform(x, -_coef(variant))
+    return [complex(v) for v in y / y.size]
 
 
 def fft(x) -> list[complex]:

@@ -10,7 +10,7 @@ whose tree is not mirror-symmetric is detected.
 
 from __future__ import annotations
 
-from ..core import IDENTITY_MUTATOR, Mode, SuiteDefinition, TrialContext, Variant
+from ..core import Mode, SuiteDefinition, TrialContext, Variant
 from ..expr import OPERATORS
 from ..generators import gen_postfix
 
@@ -115,7 +115,6 @@ def notation_suite() -> SuiteDefinition:
         forward=forward_correct,
         backward=backward,
         relation=relation,
-        mutators=(IDENTITY_MUTATOR,),
         variants={
             "correct": Variant(),
             "operand_swap": Variant(forward=forward_buggy),

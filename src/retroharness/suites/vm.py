@@ -69,6 +69,29 @@ def compile_expr(node: ExprNode) -> list[Instr]:
     )
 
 
+def _run_stack(code: list[Instr], const, load, node):
+    """Run bytecode on a stack: PUSH k pushes ``const(k)``, LOAD v pushes
+    ``load(v)``, and a binary instruction pops two values and pushes
+    ``node(op, left, right)`` with ``op`` an expression-language symbol."""
+    stack = []
+    for instr in code:
+        if instr.op == "PUSH":
+            stack.append(const(int(instr.arg)))
+        elif instr.op == "LOAD":
+            stack.append(load(instr.arg))
+        elif instr.op in _BINARY_OPS:
+            if len(stack) < 2:
+                raise EvalError("stack_underflow", f"stack underflow at {instr.op}")
+            right = stack.pop()
+            left = stack.pop()
+            stack.append(node(_BINARY_OPS[instr.op], left, right))
+        else:
+            raise ValueError(f"unknown instruction {instr.op!r}")
+    if len(stack) != 1:
+        raise EvalError("stack_underflow", f"final stack height {len(stack)}")
+    return stack[0]
+
+
 def run_vm(code: list[Instr], env: dict[str, int]) -> int:
     """Execute bytecode against an operand stack.
 
@@ -76,28 +99,14 @@ def run_vm(code: list[Instr], env: dict[str, int]) -> int:
     stack_underflow; an underflow indicates malformed code, not a wrong
     answer.
     """
-    stack: list[int] = []
-    for instr in code:
-        if instr.op == "PUSH":
-            stack.append(int(instr.arg))
-        elif instr.op == "LOAD":
-            try:
-                stack.append(env[instr.arg])
-            except KeyError:
-                raise EvalError(
-                    "unbound_variable", f"unbound variable {instr.arg!r}"
-                ) from None
-        elif instr.op in _BINARY_OPS:
-            if len(stack) < 2:
-                raise EvalError("stack_underflow", f"stack underflow at {instr.op}")
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(APPLY[_BINARY_OPS[instr.op]](left, right))
-        else:
-            raise ValueError(f"unknown instruction {instr.op!r}")
-    if len(stack) != 1:
-        raise EvalError("stack_underflow", f"final stack height {len(stack)}")
-    return stack[0]
+
+    def load(name):
+        try:
+            return env[name]
+        except KeyError:
+            raise EvalError("unbound_variable", f"unbound variable {name!r}") from None
+
+    return _run_stack(code, int, load, lambda op, left, right: APPLY[op](left, right))
 
 
 def decompile(code: list[Instr], variant: str = "correct") -> str:
@@ -107,25 +116,13 @@ def decompile(code: list[Instr], variant: str = "correct") -> str:
     """
     if variant not in ("correct", "swap_sub"):
         raise ValueError(f"unknown variant {variant!r}")
-    stack: list[ExprNode] = []
-    for instr in code:
-        if instr.op == "PUSH":
-            stack.append(Const(int(instr.arg)))
-        elif instr.op == "LOAD":
-            stack.append(Var(str(instr.arg)))
-        elif instr.op in _BINARY_OPS:
-            if len(stack) < 2:
-                raise EvalError("stack_underflow", f"stack underflow at {instr.op}")
-            right = stack.pop()
-            left = stack.pop()
-            if variant == "swap_sub" and instr.op in ("SUB", "DIV"):
-                left, right = right, left
-            stack.append(BinOp(_BINARY_OPS[instr.op], left, right))
-        else:
-            raise ValueError(f"unknown instruction {instr.op!r}")
-    if len(stack) != 1:
-        raise EvalError("stack_underflow", f"final stack height {len(stack)}")
-    return print_infix(stack[0])
+
+    def node(op: str, left: ExprNode, right: ExprNode) -> BinOp:
+        if variant == "swap_sub" and op in ("-", "/"):
+            left, right = right, left
+        return BinOp(op, left, right)
+
+    return print_infix(_run_stack(code, Const, lambda name: Var(str(name)), node))
 
 
 def bytecode_to_text(code: list[Instr]) -> str:

@@ -178,7 +178,7 @@ def test_suite_requires_correct_variant():
         )
 
 
-def test_weighted_mutator_selection_is_deterministic():
+def test_mutator_selection_is_deterministic():
     seen = []
 
     def tag(name):
@@ -191,9 +191,3 @@ def test_weighted_mutator_selection_is_deterministic():
     _, reports2 = run_suite(suite, cfg)
     assert names == [r.mutation.name for r in reports2]
     assert {"a", "b", "c"} == set(names)
-
-
-@pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
-def test_mutator_weight_must_be_finite_and_positive(weight):
-    with pytest.raises(ConfigError, match="weight"):
-        Mutator("bad", lambda v, ctx: (v, {}), weight)
