@@ -120,7 +120,6 @@ def _print_transcript(report, suite) -> None:
 def _cmd_replay(args: argparse.Namespace) -> int:
     suite = get_suite(args.suite)
     config = _suite_config(_given(args, ("variant", "eps", "step_cap")))
-    config.validate(suite)
     report = replay_trial(suite, config, args.trial_seed)
     _print_transcript(report, suite)
     return 0 if report.verdict.is_pass else 1

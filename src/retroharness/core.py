@@ -344,7 +344,11 @@ def run_trial(suite: SuiteDefinition, config: SuiteConfig, trial_index: int) -> 
 
 
 def replay_trial(suite: SuiteDefinition, config: SuiteConfig, trial_seed: int) -> TrialReport:
-    """Re-run a single trial directly from a previously reported seed."""
+    """Re-run a single trial directly from a previously reported seed.
+
+    The configuration is validated first, as :func:`run_suite` does.
+    """
+    config.validate(suite)
     if not 0 <= trial_seed < 2**64:
         raise ConfigError("trial_seed must be an unsigned 64-bit integer")
     return _execute(suite, config, trial_index=0, trial_seed=trial_seed)

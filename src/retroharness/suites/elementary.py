@@ -26,6 +26,11 @@ __all__ = [
 EPS_TRIG = 1e-9
 
 
+def _is_real(value) -> bool:
+    """Shape check for a returned scalar: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _sin(x: float, ctx: TrialContext) -> float:
     return math.sin(x)
 
@@ -48,7 +53,7 @@ def sine_forward_suite() -> SuiteDefinition:
         return ctx.rng.uniform(-math.pi / 2, math.pi / 2)
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        return abs(x - x_prime) <= ctx.eps * max(1.0, abs(x))
+        return _is_real(x_prime) and abs(x - x_prime) <= ctx.eps * max(1.0, abs(x))
 
     return SuiteDefinition(
         name="sine_forward",
@@ -75,7 +80,7 @@ def sine_backward_suite() -> SuiteDefinition:
         return angle + 2.0 * math.pi * k, {"k": k}
 
     def relation(t, t_prime, mutation, ctx) -> bool:
-        return abs(t - t_prime) <= EPS_TRIG
+        return _is_real(t_prime) and abs(t - t_prime) <= EPS_TRIG
 
     return SuiteDefinition(
         name="sine_backward",
@@ -114,7 +119,7 @@ def reciprocal_integrated_suite() -> SuiteDefinition:
                 return x
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        return abs(x - x_prime) <= ctx.eps * max(1.0, x * x)
+        return _is_real(x_prime) and abs(x - x_prime) <= ctx.eps * max(1.0, x * x)
 
     return SuiteDefinition(
         name="reciprocal",

@@ -115,7 +115,9 @@ def fourier_suite() -> SuiteDefinition:
     """Integrated round trip: inverse(transform(x)) = x on real parts.
 
     Mutators: identity, and adding a constant c in [0, 1) to every
-    spectrum entry, which must land entirely on x_0.
+    spectrum entry, which must land entirely on x_0.  A returned sequence
+    that is not a list or tuple of int, float or complex items (bools
+    excluded) of the input's length is a violation.
     """
 
     def generate(ctx: TrialContext) -> list[float]:
@@ -138,7 +140,11 @@ def fourier_suite() -> SuiteDefinition:
         return [value + c for value in spectrum], {"c": c}
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        if len(x_prime) != len(x):
+        if not isinstance(x_prime, (list, tuple)) or len(x_prime) != len(x):
+            return False
+        if not all(
+            isinstance(v, (int, float, complex)) and not isinstance(v, bool) for v in x_prime
+        ):
             return False
         shift = mutation.parameters.get("c", 0.0)
         if abs(x_prime[0].real - (x[0] + shift)) > ctx.eps:

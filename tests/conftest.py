@@ -1,8 +1,15 @@
 import dataclasses
+import os
+from pathlib import Path
 
 import pytest
 
 from retroharness.core import SuiteConfig, SuiteDefinition, run_trial
+
+# Child interpreters started by the CLI tests import the package from this
+# checkout too, as pyproject.toml's pytest `pythonpath` does for this process.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -165,6 +165,16 @@ def test_replay_matches_run_trial():
     assert replayed.verdict == original.verdict
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [SuiteConfig(eps=float("nan")), SuiteConfig(step_cap=0)],
+    ids=["nan_eps", "zero_step_cap"],
+)
+def test_replay_validates_config(cfg):
+    with pytest.raises(ConfigError):
+        replay_trial(_echo_suite(), cfg, 5)
+
+
 def test_suite_requires_correct_variant():
     with pytest.raises(ConfigError):
         SuiteDefinition(

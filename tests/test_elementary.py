@@ -1,4 +1,7 @@
+import dataclasses
 import math
+
+import pytest
 
 from retroharness.core import Outcome, SuiteConfig, run_suite
 from retroharness.suites.elementary import (
@@ -91,3 +94,24 @@ class TestReciprocal:
     def test_correct_variant_is_involution(self):
         summary, _ = run_suite(reciprocal_integrated_suite(), SuiteConfig(iterations=10_000))
         assert summary.violations == 0
+
+
+@pytest.mark.parametrize(
+    "suite_factory",
+    [sine_forward_suite, sine_backward_suite, reciprocal_integrated_suite],
+    ids=["sine_forward", "sine_backward", "reciprocal"],
+)
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda program: lambda value, ctx: None,
+        lambda program: lambda value, ctx: "x",
+        lambda program: lambda value, ctx: complex(program(value, ctx)),
+    ],
+    ids=["none", "str", "right_value_as_complex"],
+)
+def test_non_real_output_is_violation(force_input, suite_factory, wrap):
+    suite = suite_factory()
+    suite = dataclasses.replace(suite, backward=wrap(suite.backward))
+    report = force_input(suite, 0.5)
+    assert report.verdict.outcome is Outcome.VIOLATION

@@ -163,13 +163,27 @@ class TestFourierSuite:
 
     @pytest.mark.parametrize(
         "backward",
-        [lambda x, ctx: idft(x) + [0j], lambda x, ctx: idft(x)[:-1]],
-        ids=["extra_sample", "missing_sample"],
+        [
+            lambda x, ctx: idft(x) + [0j],
+            lambda x, ctx: idft(x)[:-1],
+            lambda x, ctx: None,
+            lambda x, ctx: 42,
+            lambda x, ctx: ["x"] * len(x),
+        ],
+        ids=["extra_sample", "missing_sample", "none", "int", "str_items"],
     )
     def test_wrong_length_output_is_violation(self, backward):
         suite = dataclasses.replace(fourier_suite(), backward=backward)
         summary, _ = run_suite(suite, SuiteConfig(iterations=200))
         assert summary.violations == 200
+
+    def test_bool_items_are_violation(self):
+        # True has real part 1, so only the item type tells it from 1.0.
+        suite = fourier_suite()
+        ctx = TrialContext(rng=Rng(0), eps=1e-10, step_cap=1)
+        identity = MutationDescriptor.identity()
+        assert suite.relation([1.0, 0.0], [1.0, 0.0], identity, ctx)
+        assert not suite.relation([1.0, 0.0], [True, False], identity, ctx)
 
     def test_impulse_shift_property(self):
         # idft(dft(x) + c) = x + c*e0 for the correct transform.
