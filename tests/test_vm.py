@@ -35,10 +35,23 @@ class TestParsePrint:
     def test_left_associativity(self):
         assert parse_infix("7-3-1") == BinOp("-", BinOp("-", Const(7), Const(3)), Const(1))
 
-    def test_syntax_error_carries_position(self):
+    @pytest.mark.parametrize(
+        "src, message, position",
+        [
+            ("1+", "unexpected end of input", 2),
+            ("(1", "expected ')'", 2),
+            ("a b", "unexpected ' '", 1),
+            (")", "unexpected ')'", 0),
+            ("", "unexpected end of input", 0),
+            ("1++2", "unexpected '+'", 2),
+        ],
+        ids=["trailing_op", "unclosed_paren", "space", "stray_close", "empty", "double_op"],
+    )
+    def test_syntax_error_carries_position(self, src, message, position):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_infix("1+")
-        assert err.value.position == 2
+            parse_infix(src)
+        assert str(err.value) == f"{message} at position {position}"
+        assert err.value.position == position
 
     def test_print_known_trees(self):
         assert print_infix(BinOp("*", BinOp("+", Const(1), Const(2)), Const(4))) == "(1+2)*4"
