@@ -85,7 +85,8 @@ OPERATORS = "".join(APPLY)
 
 
 class _Parser:
-    """Recursive descent: expr := term (+- term)*, term := factor (*/ factor)*."""
+    """Precedence climbing over ``_PRECEDENCE``; every operator is left
+    associative, and a factor is a digit, a variable or a parenthesized expr."""
 
     def __init__(self, src: str) -> None:
         self.src = src
@@ -100,21 +101,15 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {self.src[self.pos]!r}", self.pos)
         return node
 
-    def expr(self) -> ExprNode:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.src[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> ExprNode:
+    def expr(self, min_prec: int = 1) -> ExprNode:
         node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.src[self.pos]
+        while True:
+            op = self.peek()
+            prec = _PRECEDENCE.get(op, 0)
+            if prec < min_prec:
+                return node
             self.pos += 1
-            node = BinOp(op, node, self.factor())
-        return node
+            node = BinOp(op, node, self.expr(prec + 1))
 
     def factor(self) -> ExprNode:
         ch = self.peek()

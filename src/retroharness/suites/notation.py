@@ -15,7 +15,6 @@ from ..expr import OPERATORS
 from ..generators import gen_postfix
 
 __all__ = [
-    "OPERATORS",
     "validate_postfix",
     "validate_prefix",
     "postfix_to_prefix",
@@ -24,24 +23,27 @@ __all__ = [
 ]
 
 
-def _is_operand(ch: str) -> bool:
-    return ch.isalnum()
+def _fold(tokens, combine):
+    """The module's one stack scan.  An alnum token is pushed; an operator
+    pops the top two items and pushes ``combine(op, below, top)``.  Returns
+    the single remaining item, or None on an unknown token, an underflow,
+    or a final height other than 1."""
+    stack = []
+    for ch in tokens:
+        if ch.isalnum():
+            stack.append(ch)
+        elif ch in OPERATORS and len(stack) >= 2:
+            top = stack.pop()
+            stack[-1] = combine(ch, stack[-1], top)
+        else:
+            return None
+    return stack[0] if len(stack) == 1 else None
 
 
 def validate_postfix(s) -> bool:
     """Stack-validity: tokens are alnum operands or ``+-*/``, evaluation
     never underflows, and exactly one item remains."""
-    depth = 0
-    for ch in s:
-        if _is_operand(ch):
-            depth += 1
-        elif ch in OPERATORS:
-            if depth < 2:
-                return False
-            depth -= 1
-        else:
-            return False
-    return depth == 1
+    return _fold(s, lambda op, below, top: below) is not None
 
 
 def validate_prefix(s: str) -> bool:
@@ -52,42 +54,28 @@ def validate_prefix(s: str) -> bool:
 def postfix_to_prefix(s: str, variant: str = "correct") -> str:
     """Stack conversion of a postfix string to prefix.
 
-    The correct version pops the second operand first (it is on top) and
-    emits operator, first operand, second operand.  The "operand_swap"
-    variant pops in the written order, swapping every operand pair.
+    The correct version emits operator, first operand, second operand,
+    the second operand being the one on top of the stack.  The
+    "operand_swap" variant emits the top operand first, swapping every
+    operand pair.
     """
     if variant not in ("correct", "operand_swap"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not validate_postfix(s):
+    if variant == "operand_swap":
+        prefix = _fold(s, lambda op, below, top: f"{op}{top}{below}")
+    else:
+        prefix = _fold(s, lambda op, below, top: f"{op}{below}{top}")
+    if prefix is None:
         raise ValueError(f"not a valid postfix expression: {s!r}")
-    stack: list[str] = []
-    for ch in s:
-        if _is_operand(ch):
-            stack.append(ch)
-        else:
-            if variant == "operand_swap":
-                operand1 = stack.pop()
-                operand2 = stack.pop()
-            else:
-                operand2 = stack.pop()
-                operand1 = stack.pop()
-            stack.append(f"{ch}{operand1}{operand2}")
-    return stack[0]
+    return prefix
 
 
 def prefix_to_postfix(s: str) -> str:
     """Reverse-scan stack conversion of a prefix string to postfix."""
-    if not validate_prefix(s):
+    postfix = _fold(reversed(s), lambda op, below, top: f"{top}{below}{op}")
+    if postfix is None:
         raise ValueError(f"not a valid prefix expression: {s!r}")
-    stack: list[str] = []
-    for ch in reversed(s):
-        if _is_operand(ch):
-            stack.append(ch)
-        else:
-            operand1 = stack.pop()
-            operand2 = stack.pop()
-            stack.append(f"{operand1}{operand2}{ch}")
-    return stack[0]
+    return postfix
 
 
 def notation_suite() -> SuiteDefinition:
