@@ -126,15 +126,14 @@ class TrialContext:
     ``rng`` is the trial's own deterministic stream.  ``eps`` and
     ``step_cap`` come from the run configuration; programs with unbounded
     loops are expected to enforce ``step_cap`` themselves by raising
-    :class:`StepCapExceeded`.  During relation evaluation the intermediate
-    data are available as ``m2`` and ``m2_mutated`` for relations that
+    :class:`StepCapExceeded`.  During relation evaluation the mutated
+    intermediate datum is available as ``m2_mutated`` for relations that
     constrain the intermediate modality as well.
     """
 
     rng: Rng
     eps: float
     step_cap: int
-    m2: Any = None
     m2_mutated: Any = None
 
 
@@ -274,6 +273,11 @@ class SuiteSummary:
     wall_time: float = field(compare=False, default=0.0)
 
 
+def _is_real(value) -> bool:
+    """Shape check for a returned scalar: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed; distinct indices decorrelate fully."""
     return _mix64((master_seed ^ ((trial_index + 1) * _GAMMA)) & _MASK64)
@@ -307,7 +311,6 @@ def _execute(
 
         stage = Stage.FORWARD_EXEC
         m2 = forward(m1, ctx)
-        ctx.m2 = m2
 
         stage = Stage.MUTATE
         m2_mutated, parameters = mutator.apply(m2, ctx)

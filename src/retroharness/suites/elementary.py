@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import Mode, Mutator, SuiteDefinition, Variant, TrialContext
+from ..core import Mode, Mutator, SuiteDefinition, TrialContext, Variant, _is_real
 
 __all__ = [
     "sine_forward_suite",
@@ -26,11 +26,6 @@ __all__ = [
 EPS_TRIG = 1e-9
 
 
-def _is_real(value) -> bool:
-    """Shape check for a returned scalar: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _sin(x: float, ctx: TrialContext) -> float:
     return math.sin(x)
 
@@ -40,9 +35,12 @@ def _taylor3_sin(x: float, ctx: TrialContext) -> float:
     return x - x**3 / 6 + x**5 / 120
 
 
-def _arcsin_trusted(t: float, ctx: TrialContext) -> float:
-    # Clamp so that slightly out-of-range forward outputs surface as
-    # relation violations rather than math-domain crashes.
+def _arcsin_trusted(t: float, ctx: TrialContext) -> float | None:
+    # Return None for a forward output that is not a real number, and clamp
+    # a slightly out-of-range one, so that both surface as relation
+    # violations rather than crashes of this trusted program.
+    if not _is_real(t):
+        return None
     return math.asin(min(1.0, max(-1.0, t)))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import Mode, StepCapExceeded, SuiteDefinition, TrialContext, Variant
+from ..core import Mode, StepCapExceeded, SuiteDefinition, TrialContext, Variant, _is_real
 from ..generators import Rng, gen_integer
 
 __all__ = [
@@ -151,7 +151,11 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
     def forward_buggy(n: int, ctx: TrialContext) -> list[int]:
         return pollards_rho(n, "gcd_x", ctx.rng, ctx.step_cap)
 
-    def backward(factors, ctx: TrialContext) -> int:
+    def backward(factors, ctx: TrialContext) -> int | None:
+        # Forward output that is not a list of numbers is the forward's
+        # fault: return None, which the relation reports as a violation.
+        if not isinstance(factors, (list, tuple)) or not all(map(_is_real, factors)):
+            return None
         return multiply_product(factors)
 
     def relation(n, n_prime, mutation, ctx) -> bool:

@@ -48,6 +48,20 @@ sys.stdin.readline()
 print("not json", flush=True)
 """
 
+WRONG_ID = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"] + 1, "data": req["data"]}), flush=True)
+"""
+
+NO_PAYLOAD = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"]}), flush=True)
+"""
+
 
 def fixture_command(body: str) -> list[str]:
     return [sys.executable, "-u", "-c", body]
@@ -119,6 +133,15 @@ class TestExternalProgram:
     def test_malformed_response_is_program_error(self):
         with ExternalProgram(fixture_command(MALFORMED), timeout=2.0) as program:
             with pytest.raises(ExternalProgramError):
+                program(1, make_ctx())
+
+    @pytest.mark.parametrize("body, message", [
+        (WRONG_ID, "does not match request id"),
+        (NO_PAYLOAD, "neither data nor error"),
+    ], ids=["wrong_id", "no_payload"])
+    def test_protocol_violation_is_program_error(self, body, message):
+        with ExternalProgram(fixture_command(body), timeout=2.0) as program:
+            with pytest.raises(ExternalProgramError, match=message):
                 program(1, make_ctx())
 
     def test_spawn_failure_is_config_error(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from retroharness.core import (
@@ -11,6 +13,8 @@ from retroharness.core import (
     SuiteDefinition,
     Variant,
     derive_trial_seed,
+    get_suite,
+    register_suite,
     replay_trial,
     run_suite,
     run_trial,
@@ -201,3 +205,28 @@ def test_mutator_selection_is_deterministic():
     _, reports2 = run_suite(suite, cfg)
     assert names == [r.mutation.name for r in reports2]
     assert {"a", "b", "c"} == set(names)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: register_suite(get_suite("reciprocal")), "already registered"),
+        (lambda: run_trial(_echo_suite(), SuiteConfig(), -1), "trial_index must be >= 0"),
+        (lambda: replay_trial(_echo_suite(), SuiteConfig(), 2**64), "trial_seed must be"),
+        (lambda: run_suite(_echo_suite(), SuiteConfig(master_seed=-1)), "master_seed must be"),
+    ],
+    ids=["duplicate_suite", "negative_index", "seed_2_64", "negative_master_seed"],
+)
+def test_bad_configuration_raises_config_error(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("suite_name", ["factorization", "factorization_strict", "sine_forward"])
+@pytest.mark.parametrize("returned", [None, 6, "x", 1j], ids=["none", "int", "str", "complex"])
+def test_wrongly_shaped_forward_output_is_violation_not_backward_error(suite_name, returned):
+    # The backward of a forward-mode suite is trusted; the forward's bad
+    # output must be blamed on the forward, as a violation.
+    suite = dataclasses.replace(get_suite(suite_name), forward=lambda value, ctx: returned)
+    report = run_trial(suite, SuiteConfig(), 0)
+    assert report.verdict.outcome is Outcome.VIOLATION

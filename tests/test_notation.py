@@ -77,6 +77,23 @@ class TestPostfixToPrefix:
         with pytest.raises(ValueError):
             postfix_to_prefix("5+", "correct")
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'mirror'"):
+            postfix_to_prefix("ab+", "mirror")
+
+    @pytest.mark.parametrize("convert, s, message", [
+        (postfix_to_prefix, "5+", "not a valid postfix expression: '5+'"),
+        (postfix_to_prefix, "ab", "not a valid postfix expression: 'ab'"),
+        (postfix_to_prefix, "a b+", "not a valid postfix expression: 'a b+'"),
+        (prefix_to_postfix, "++ab", "not a valid prefix expression: '++ab'"),
+        (prefix_to_postfix, "", "not a valid prefix expression: ''"),
+    ], ids=["postfix_underflow", "postfix_leftover", "postfix_bad_char",
+            "prefix_underflow", "prefix_empty"])
+    def test_invalid_input_message(self, convert, s, message):
+        with pytest.raises(ValueError) as err:
+            convert(s)
+        assert str(err.value) == message
+
     def test_output_is_valid_prefix_for_both_variants(self):
         rng = Rng(17)
         for _ in range(1000):

@@ -175,6 +175,18 @@ class TestCliConfigFile:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "eps must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file"),
+        ("{", "is not valid JSON"),
+        ("[1]", "must hold a JSON object"),
+    ], ids=["missing", "invalid_json", "not_an_object"])
+    def test_unusable_config_file_exits_two(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_config_report_path(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         cfg = tmp_path / "run.json"

@@ -104,6 +104,21 @@ class TestRunVm:
             run_vm([Instr("ADD")], {})
         assert err.value.kind == "stack_underflow"
 
+    @pytest.mark.parametrize("run", [lambda code: run_vm(code, {}), decompile],
+                             ids=["run_vm", "decompile"])
+    def test_unknown_instruction_rejected(self, run):
+        with pytest.raises(ValueError, match="unknown instruction 'NOP'"):
+            run([Instr("PUSH", 1), Instr("NOP")])
+
+    @pytest.mark.parametrize("run", [lambda code: run_vm(code, {}), decompile],
+                             ids=["run_vm", "decompile"])
+    @pytest.mark.parametrize("code", [[], [Instr("PUSH", 1), Instr("PUSH", 2)]],
+                             ids=["height_0", "height_2"])
+    def test_final_height_other_than_one_is_underflow(self, run, code):
+        with pytest.raises(EvalError, match=f"final stack height {len(code)}") as err:
+            run(code)
+        assert err.value.kind == "stack_underflow"
+
     def test_truncated_division(self):
         assert run_vm([Instr("PUSH", 7), Instr("PUSH", 2), Instr("DIV")], {}) == 3
         code = compile_expr(BinOp("/", BinOp("-", Const(0), Const(7)), Const(2)))
@@ -195,6 +210,11 @@ class TestVmSuite:
     @pytest.mark.parametrize("returned", [None, 42], ids=["none", "int"])
     def test_non_string_source_is_violation(self, force_input, returned):
         suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: returned)
+        report = force_input(suite, "(1+2)*4")
+        assert report.verdict.outcome is Outcome.VIOLATION
+
+    def test_unparsable_source_is_violation(self, force_input):
+        suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: "1+")
         report = force_input(suite, "(1+2)*4")
         assert report.verdict.outcome is Outcome.VIOLATION
 
