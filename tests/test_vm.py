@@ -24,6 +24,11 @@ from retroharness.suites.vm import (
     vm_suite,
 )
 
+# run_vm and decompile share one stack loop and its error checks.
+BOTH_STACK_RUNNERS = pytest.mark.parametrize(
+    "run", [lambda code: run_vm(code, {}), decompile], ids=["run_vm", "decompile"]
+)
+
 
 class TestParsePrint:
     def test_parenthesized_product(self):
@@ -104,14 +109,12 @@ class TestRunVm:
             run_vm([Instr("ADD")], {})
         assert err.value.kind == "stack_underflow"
 
-    @pytest.mark.parametrize("run", [lambda code: run_vm(code, {}), decompile],
-                             ids=["run_vm", "decompile"])
+    @BOTH_STACK_RUNNERS
     def test_unknown_instruction_rejected(self, run):
         with pytest.raises(ValueError, match="unknown instruction 'NOP'"):
             run([Instr("PUSH", 1), Instr("NOP")])
 
-    @pytest.mark.parametrize("run", [lambda code: run_vm(code, {}), decompile],
-                             ids=["run_vm", "decompile"])
+    @BOTH_STACK_RUNNERS
     @pytest.mark.parametrize("code", [[], [Instr("PUSH", 1), Instr("PUSH", 2)]],
                              ids=["height_0", "height_2"])
     def test_final_height_other_than_one_is_underflow(self, run, code):
