@@ -122,7 +122,7 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", self.pos)
             self.pos += 1
             return node
-        if ch.isdigit():
+        if ch in "0123456789":
             self.pos += 1
             return Const(int(ch))
         if ch in VARIABLES:

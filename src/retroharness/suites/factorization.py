@@ -30,14 +30,19 @@ __all__ = [
 # Witnesses making Miller-Rabin deterministic for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Raised by gcd and by rho's inner loop, which calls math.gcd directly.
+_GCD_ZERO = "gcd(0, 0) is undefined"
+
 
 def gcd(a: int, b: int) -> int:
-    """Euclidean greatest common divisor of two nonnegative integers."""
+    """Greatest common divisor, ``math.gcd(a, b)``, refusing ``(0, 0)``.
+
+    The result is never negative, whatever the signs of the arguments:
+    ``gcd(4, -6)`` is 2.
+    """
     if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a
+        raise ValueError(_GCD_ZERO)
+    return math.gcd(a, b)
 
 
 def is_prime(n: int) -> bool:
@@ -89,28 +94,25 @@ def pollards_rho(
     def try_split(m: int) -> int:
         """One rho walk; returns a divisor d > 1 (possibly m itself).
 
-        Each loop turn advances x once and y twice, three polynomial
-        evaluations, debited from the shared budget before the turn runs.
+        Each turn advances x once and y twice, three polynomial
+        evaluations, so the shared budget pays for ``budget // 3`` turns;
+        a split debits the turns it took.
         """
         nonlocal budget
         x = rng.randint(1, m - 1)
         y = x
         c = rng.randint(1, m - 1)
-        d = 1
-        remaining = budget
-        try:
-            while d <= 1:
-                if remaining < 3:
-                    remaining -= 3
-                    raise StepCapExceeded("polynomial-iteration budget exhausted")
-                remaining -= 3
-                x = (x * x + c) % m
-                t = (y * y + c) % m
-                y = (t * t + c) % m
-                d = gcd(abs(x - y), x if buggy else m)
-        finally:
-            budget = remaining
-        return d
+        for turn in range(1, budget // 3 + 1):
+            x = (x * x + c) % m
+            t = (y * y + c) % m
+            y = (t * t + c) % m
+            d = math.gcd(x - y, x if buggy else m)
+            if d != 1:
+                if d == 0:
+                    raise ValueError(_GCD_ZERO)
+                budget -= 3 * turn
+                return d
+        raise StepCapExceeded("polynomial-iteration budget exhausted")
 
     def factor(m: int) -> list[int]:
         if m == 1:

@@ -13,6 +13,7 @@ defect that is invisible on purely commutative programs.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from ..core import Mode, SuiteDefinition, TrialContext, Variant
@@ -143,14 +144,17 @@ def bytecode_from_text(text: str) -> list[Instr]:
         if not line:
             continue
         parts = line.split()
+        instr = None
         if parts[0] == "PUSH" and len(parts) == 2:
-            code.append(Instr("PUSH", int(parts[1])))
+            with contextlib.suppress(ValueError):
+                instr = Instr("PUSH", int(parts[1]))
         elif parts[0] == "LOAD" and len(parts) == 2:
-            code.append(Instr("LOAD", parts[1]))
+            instr = Instr("LOAD", parts[1])
         elif parts[0] in _BINARY_OPS and len(parts) == 1:
-            code.append(Instr(parts[0]))
-        else:
+            instr = Instr(parts[0])
+        if instr is None:
             raise ValueError(f"bad bytecode line {lineno}: {raw!r}")
+        code.append(instr)
     return code
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -39,6 +40,73 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def reference_pollards_rho(n: int, variant: str, rng: Rng, step_cap: int) -> list[int]:
+    """The rho loop as it was before it called math.gcd: a budget check
+    before every turn and a Euclid gcd that refuses (0, 0).  Kept here as
+    the reference the shipped loop must match draw for draw."""
+
+    def euclid_gcd(a: int, b: int) -> int:
+        if a == 0 and b == 0:
+            raise ValueError("gcd(0, 0) is undefined")
+        while b:
+            a, b = b, a % b
+        return a
+
+    budget = step_cap
+    buggy = variant == "gcd_x"
+
+    def try_split(m: int) -> int:
+        nonlocal budget
+        x = rng.randint(1, m - 1)
+        y = x
+        c = rng.randint(1, m - 1)
+        d = 1
+        remaining = budget
+        try:
+            while d <= 1:
+                if remaining < 3:
+                    remaining -= 3
+                    raise StepCapExceeded("polynomial-iteration budget exhausted")
+                remaining -= 3
+                x = (x * x + c) % m
+                t = (y * y + c) % m
+                y = (t * t + c) % m
+                d = euclid_gcd(abs(x - y), x if buggy else m)
+        finally:
+            budget = remaining
+        return d
+
+    def factor(m: int) -> list[int]:
+        if m == 1:
+            return []
+        if m % 2 == 0:
+            return [2] + factor(m // 2)
+        if not buggy and is_prime(m):
+            return [m]
+        d = try_split(m)
+        while d == m and not buggy:
+            d = try_split(m)
+        if d == m:
+            return [m]
+        return factor(d) + factor(m // d)
+
+    return factor(n)
+
+
+def outcome_and_next_draw(rho, n, variant, seed, step_cap):
+    """What a rho run returns or raises, plus the next draw of its Rng, so
+    two runs that consumed the stream differently do not compare equal."""
+    rng = Rng(seed)
+    try:
+        outcome = ("returned", rho(n, variant, rng, step_cap))
+    except (StepCapExceeded, ValueError) as exc:
+        outcome = ("raised", type(exc), str(exc))
+    return outcome, rng.next_u64()
+
+
+RHO_CAPS = (1, 2, 3, 4, 5, 6, 10, 100, 10**4)
+
+
 class TestGcd:
     def test_textbook(self):
         assert gcd(12, 8) == 4
@@ -50,8 +118,12 @@ class TestGcd:
         assert gcd(0, 5) == 5
 
     def test_double_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^gcd\(0, 0\) is undefined$"):
             gcd(0, 0)
+
+    def test_negative_argument_gives_non_negative_result(self):
+        assert gcd(4, -6) == 2
+        assert gcd(-4, 0) == 4
 
 
 class TestIsPrime:
@@ -111,6 +183,65 @@ class TestPollardsRho:
             pollards_rho(0, "correct", Rng(0))
         with pytest.raises(ValueError):
             pollards_rho(10, "nope", Rng(0))
+
+
+class TestRhoLoopAgainstReference:
+    """The counted math.gcd loop splits, crashes and caps on the same turn
+    as the reference loop, so every record byte stays the same."""
+
+    @pytest.mark.parametrize(
+        "variant, kinds",
+        [
+            ("correct", {"returned", StepCapExceeded}),
+            ("gcd_x", {"returned", StepCapExceeded, ValueError}),
+        ],
+        ids=["correct", "gcd_x"],
+    )
+    def test_odd_composites_up_to_10_000(self, variant, kinds):
+        # kinds: the outcomes the compared runs must include, so a split,
+        # a cap and (for gcd_x) a gcd(0, 0) crash are each compared.
+        seen = set()
+        odd_composites = [n for n in range(9, 10_001, 2) if not is_prime(n)]
+        for i, n in enumerate(odd_composites):
+            seed = i % 7
+            for cap in RHO_CAPS:
+                expected = outcome_and_next_draw(reference_pollards_rho, n, variant, seed, cap)
+                actual = outcome_and_next_draw(pollards_rho, n, variant, seed, cap)
+                assert actual == expected, (n, variant, seed, cap)
+                outcome = expected[0]
+                seen.add(outcome[0] if outcome[0] == "returned" else outcome[1])
+        assert seen == kinds
+
+    @pytest.mark.parametrize("variant", ["correct", "gcd_x"])
+    def test_random_inputs_up_to_10_to_the_12(self, variant):
+        draw = Rng(2024)
+        for seed in range(40):
+            n = draw.randint(2, 10**12)
+            for cap in RHO_CAPS:
+                expected = outcome_and_next_draw(reference_pollards_rho, n, variant, seed, cap)
+                actual = outcome_and_next_draw(pollards_rho, n, variant, seed, cap)
+                assert actual == expected, (n, variant, seed, cap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cap_of_exactly_the_turns_taken_splits(self, seed):
+        # 10403 = 101 * 103: one walk that splits, then two primes that
+        # cost nothing, so the budget pays for that walk's turns alone.
+        n = 10403
+        rng = Rng(seed)
+        x = rng.randint(1, n - 1)
+        y = x
+        c = rng.randint(1, n - 1)
+        turns, d = 0, 1
+        while d == 1:
+            turns += 1
+            x = (x * x + c) % n
+            t = (y * y + c) % n
+            y = (t * t + c) % n
+            d = math.gcd(x - y, n)
+        assert d in (101, 103)
+        assert sorted(pollards_rho(n, "correct", Rng(seed), 3 * turns)) == [101, 103]
+        with pytest.raises(StepCapExceeded, match="polynomial-iteration budget exhausted"):
+            pollards_rho(n, "correct", Rng(seed), 3 * turns - 1)
 
 
 class TestMultiplyProduct:

@@ -49,8 +49,19 @@ class TestParsePrint:
             (")", "unexpected ')'", 0),
             ("", "unexpected end of input", 0),
             ("1++2", "unexpected '+'", 2),
+            ("²", "unexpected '²'", 0),
+            ("١+2", "unexpected '١'", 0),
         ],
-        ids=["trailing_op", "unclosed_paren", "space", "stray_close", "empty", "double_op"],
+        ids=[
+            "trailing_op",
+            "unclosed_paren",
+            "space",
+            "stray_close",
+            "empty",
+            "double_op",
+            "superscript_two",
+            "arabic_indic_one",
+        ],
     )
     def test_syntax_error_carries_position(self, src, message, position):
         with pytest.raises(ExprSyntaxError) as err:
@@ -171,6 +182,11 @@ class TestBytecodeText:
         with pytest.raises(ValueError):
             bytecode_from_text("PUSH\n")
 
+    def test_bad_push_operand_names_its_line(self):
+        with pytest.raises(ValueError) as err:
+            bytecode_from_text("PUSH x\n")
+        assert str(err.value) == "bad bytecode line 1: 'PUSH x'"
+
 
 class TestVmCoherence:
     def test_vm_matches_reference_evaluator(self):
@@ -218,6 +234,11 @@ class TestVmSuite:
 
     def test_unparsable_source_is_violation(self, force_input):
         suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: "1+")
+        report = force_input(suite, "(1+2)*4")
+        assert report.verdict.outcome is Outcome.VIOLATION
+
+    def test_non_ascii_digit_source_is_violation(self, force_input):
+        suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: "²")
         report = force_input(suite, "(1+2)*4")
         assert report.verdict.outcome is Outcome.VIOLATION
 
