@@ -12,7 +12,9 @@ import json
 import os
 import sys
 
-from .core import ConfigError, SuiteConfig, get_suite, list_suites, replay_trial, run_suite
+from .core import (
+    ConfigError, SuiteConfig, _check_type, get_suite, list_suites, replay_trial, run_suite,
+)
 from .report import summary_lines, write_report
 
 __all__ = ["main"]
@@ -45,11 +47,7 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, value in raw.items():
-        expected = _CONFIG_KEYS[key]
-        if expected is float and isinstance(value, int):
-            continue
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be {expected.__name__}")
+        _check_type(f"config key {key!r}", value, _CONFIG_KEYS[key])
     return raw
 
 

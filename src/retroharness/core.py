@@ -273,9 +273,16 @@ class SuiteSummary:
     wall_time: float = field(compare=False, default=0.0)
 
 
-def _is_real(value) -> bool:
-    """Shape check for a returned scalar: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_real(value, kinds=(int, float)) -> bool:
+    """Type check for a returned or configured value: an instance of
+    ``kinds``, never a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ConfigError unless ``value`` is a ``kind``; a float takes an int."""
+    if not _is_real(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:

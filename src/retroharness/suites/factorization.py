@@ -164,10 +164,7 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
         return n_prime == n
 
     def relation_strict(n, n_prime, mutation, ctx) -> bool:
-        return n_prime == n and all(
-            isinstance(f, int) and not isinstance(f, bool) and is_prime(f)
-            for f in ctx.m2_mutated
-        )
+        return n_prime == n and all(_is_real(f, int) and is_prime(f) for f in ctx.m2_mutated)
 
     return SuiteDefinition(
         name="factorization_strict" if strict else "factorization",

@@ -8,9 +8,10 @@ The transform pair is the direct O(N^2) summation
 
 The seeded bug ("coef_minus_1j") types the exponent coefficient as -1j
 instead of -2j in both directions, mirroring a shared-implementation
-transform selected by an option flag.  Relations compare real parts; the
-generated inputs are real sequences, so the identity round trip keeps the
-imaginary parts at rounding level.
+transform selected by an option flag.  Relations compare real parts as
+``abs(d) <= eps``, so a NaN never passes; the generated inputs are real
+sequences, so the identity round trip keeps the imaginary parts at rounding
+level.
 
 Besides the round-trip suite, two baseline checks over the same inputs are
 provided for methodology comparison: a metamorphic relation (adding c to
@@ -32,6 +33,7 @@ from ..core import (
     TrialContext,
     Variant,
     Verdict,
+    _is_real,
 )
 from ..generators import gen_real_sequence
 
@@ -86,19 +88,23 @@ def fft(x) -> list[complex]:
     n = len(xs)
     if n == 0 or n & (n - 1):
         raise ValueError(f"fft length must be a power of two, got {n}")
-    return _fft(xs)
-
-
-def _fft(xs: list[complex]) -> list[complex]:
-    n = len(xs)
     if n == 1:
         return xs
-    even = _fft(xs[0::2])
-    odd = _fft(xs[1::2])
+    even = fft(xs[0::2])
+    odd = fft(xs[1::2])
     twiddled = [cmath.exp(-2j * cmath.pi * k / n) * odd[k] for k in range(n // 2)]
     return [even[k] + twiddled[k] for k in range(n // 2)] + [
         even[k] - twiddled[k] for k in range(n // 2)
     ]
+
+
+def _first_miss(actual, expected, eps: float) -> int | None:
+    """Index of the first real part in ``actual`` not within ``eps`` of its
+    expected value, or None; NaN is never within."""
+    for i, (a, e) in enumerate(zip(actual, expected)):
+        if not abs(a.real - e) <= eps:
+            return i
+    return None
 
 
 def pad_to_pow2(x) -> list:
@@ -142,16 +148,10 @@ def fourier_suite() -> SuiteDefinition:
     def relation(x, x_prime, mutation, ctx) -> bool:
         if not isinstance(x_prime, (list, tuple)) or len(x_prime) != len(x):
             return False
-        if not all(
-            isinstance(v, (int, float, complex)) and not isinstance(v, bool) for v in x_prime
-        ):
+        if not all(_is_real(v, (int, float, complex)) for v in x_prime):
             return False
-        shift = mutation.parameters.get("c", 0.0)
-        if abs(x_prime[0].real - (x[0] + shift)) > ctx.eps:
-            return False
-        return all(
-            abs(x_prime[i].real - x[i]) <= ctx.eps for i in range(1, len(x))
-        )
+        c = mutation.parameters.get("c", 0.0)
+        return _first_miss(x_prime, [x[0] + c, *x[1:]], ctx.eps) is None
 
     return SuiteDefinition(
         name="fourier",
@@ -177,36 +177,33 @@ def metamorphic_baseline(x, c: float, variant: str = "correct", eps: float = 1e-
     """
     xs = list(x)
     base = dft(xs, variant)
-    shifted_input = [xs[0] + c] + xs[1:]
-    shifted = dft(shifted_input, variant)
-    for i in range(len(xs)):
-        if abs(shifted[i].real - base[i].real - c) > eps:
-            return Verdict.violation(
-                f"metamorphic relation violated at index {i}: "
-                f"base={base[i].real!r} shifted={shifted[i].real!r} c={c!r}"
-            )
-    return Verdict.passed()
+    shifted = dft([xs[0] + c] + xs[1:], variant)
+    i = _first_miss([s - b for s, b in zip(shifted, base)], [c] * len(xs), eps)
+    if i is None:
+        return Verdict.passed()
+    return Verdict.violation(
+        f"metamorphic relation violated at index {i}: "
+        f"base={base[i].real!r} shifted={shifted[i].real!r} c={c!r}"
+    )
 
 
 def differential_baseline(x, variant: str = "correct", eps: float = 1e-10) -> Verdict:
     """Compare the direct transform against the radix-2 FFT on real parts.
 
-    The input length must already be a power of two; use
-    :func:`pad_to_pow2` on generated sequences first.
+    The input length must already be a power of two (:func:`fft` raises
+    ``ValueError`` otherwise); use :func:`pad_to_pow2` on generated
+    sequences first.
     """
     xs = list(x)
-    n = len(xs)
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"differential baseline needs a power-of-two length, got {n}")
-    direct = dft(xs, variant)
     reference = fft(xs)
-    for i in range(n):
-        if abs(direct[i].real - reference[i].real) > eps:
-            return Verdict.violation(
-                f"implementations disagree at index {i}: "
-                f"direct={direct[i].real!r} fft={reference[i].real!r}"
-            )
-    return Verdict.passed()
+    direct = dft(xs, variant)
+    i = _first_miss(direct, [v.real for v in reference], eps)
+    if i is None:
+        return Verdict.passed()
+    return Verdict.violation(
+        f"implementations disagree at index {i}: "
+        f"direct={direct[i].real!r} fft={reference[i].real!r}"
+    )
 
 
 def manual_fixture_check(variant: str = "correct", eps: float = 1e-10) -> Verdict:
@@ -214,9 +211,6 @@ def manual_fixture_check(variant: str = "correct", eps: float = 1e-10) -> Verdic
     [2, 0, 2, 0]."""
     expected = [2.0, 0.0, 2.0, 0.0]
     actual = dft([1.0, 0.0, 1.0, 0.0], variant)
-    for i in range(4):
-        if abs(actual[i].real - expected[i]) > eps:
-            return Verdict.violation(
-                f"expected real parts {expected}, got {[v.real for v in actual]!r}"
-            )
-    return Verdict.passed()
+    if _first_miss(actual, expected, eps) is None:
+        return Verdict.passed()
+    return Verdict.violation(f"expected real parts {expected}, got {[v.real for v in actual]!r}")
