@@ -6,9 +6,9 @@ newline-delimited JSON protocol on stdin/stdout: each request is one line
 ``{"id": n, "data": <datum>}`` on success or ``{"id": n, "error": "..."}``
 on failure.  Requests are strict JSON: a datum holding NaN or an infinity
 is refused before it is sent.  At most one request is in flight per
-process.  A response
-timeout or a dead child yields a program error for that trial and the
-child is restarted before the next request.
+process.  A response timeout, a response line longer than
+``MAX_RESPONSE_BYTES`` or a dead child yields a program error for that
+trial and the child is restarted before the next request.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .core import ConfigError, TrialContext
 __all__ = ["ExternalProgramError", "ExternalProgram"]
 
 DEFAULT_TIMEOUT = 10.0
+# Longest response line buffered; a longer one is the program's error.
+MAX_RESPONSE_BYTES = 16 * 2**20
 
 
 class ExternalProgramError(RuntimeError):
@@ -52,7 +54,7 @@ class ExternalProgram:
         self.timeout = timeout
         self._next_id = 1
         self._child: subprocess.Popen | None = None
-        self._buffer = b""
+        self._buffer = bytearray()
         self._spawn()
 
     # -- process management -------------------------------------------------
@@ -67,7 +69,7 @@ class ExternalProgram:
             )
         except OSError as exc:
             raise ConfigError(f"cannot start external program {self.command!r}: {exc}") from exc
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def close(self) -> None:
         if self._child is not None:
@@ -86,7 +88,10 @@ class ExternalProgram:
     def _read_line(self, deadline_timeout: float) -> bytes:
         deadline = time.monotonic() + deadline_timeout
         stdout = self._child.stdout
-        while b"\n" not in self._buffer:
+        buffer = self._buffer
+        start = 0
+        while (end := buffer.find(b"\n", start)) < 0 and len(buffer) <= MAX_RESPONSE_BYTES:
+            start = len(buffer)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ExternalProgramError(
@@ -98,8 +103,11 @@ class ExternalProgram:
             chunk = stdout.read1(65536)
             if not chunk:
                 raise ExternalProgramError("external program closed its output")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
+            buffer += chunk
+        if not 0 <= end <= MAX_RESPONSE_BYTES:
+            raise ExternalProgramError(f"response line longer than {MAX_RESPONSE_BYTES} bytes")
+        line = bytes(buffer[:end])
+        del buffer[: end + 1]
         return line
 
     def __call__(self, value: Any, ctx: TrialContext | None = None) -> Any:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from .generators import _GAMMA, _MASK64, Rng, _mix64
@@ -213,7 +213,11 @@ class SuiteDefinition:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Run parameters: trial count, master seed, tolerance, work bound."""
+    """Run parameters: trial count, master seed, tolerance, work bound.
+
+    Each field must have its default's type (``eps`` may also be an int);
+    a bool is never accepted.
+    """
 
     iterations: int = 1000
     master_seed: int = 42
@@ -222,6 +226,8 @@ class SuiteConfig:
     variant_id: str = "correct"
 
     def validate(self, suite: SuiteDefinition) -> None:
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.master_seed < 2**64:
@@ -359,7 +365,7 @@ def replay_trial(suite: SuiteDefinition, config: SuiteConfig, trial_seed: int) -
     The configuration is validated first, as :func:`run_suite` does.
     """
     config.validate(suite)
-    if not 0 <= trial_seed < 2**64:
+    if not (_is_real(trial_seed, int) and 0 <= trial_seed < 2**64):
         raise ConfigError("trial_seed must be an unsigned 64-bit integer")
     return _execute(suite, config, trial_index=0, trial_seed=trial_seed)
 

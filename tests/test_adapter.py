@@ -1,7 +1,9 @@
 import sys
+import time
 
 import pytest
 
+from retroharness import adapter
 from retroharness.adapter import ExternalProgram, ExternalProgramError
 from retroharness.core import (
     ConfigError,
@@ -168,3 +170,27 @@ for line in sys.stdin:
             with pytest.raises(ExternalProgramError):
                 program("stall", ctx)
             assert program("ok", ctx) == "ok"
+
+    def test_overlong_response_line_is_refused_and_child_replaced(self, monkeypatch):
+        # The child floods its output without a newline; the cap, not the
+        # timeout, must end the call.
+        monkeypatch.setattr(adapter, "MAX_RESPONSE_BYTES", 1024)
+        flood = """
+import json, sys, time
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["data"] == "flood":
+        sys.stdout.write("x" * 4096)
+        sys.stdout.flush()
+        time.sleep(60)
+    print(json.dumps({"id": req["id"], "data": req["data"]}), flush=True)
+"""
+        with ExternalProgram(fixture_command(flood), timeout=30.0) as program:
+            ctx = make_ctx()
+            pid = program._child.pid
+            started = time.monotonic()
+            with pytest.raises(ExternalProgramError, match="longer than 1024 bytes"):
+                program("flood", ctx)
+            assert time.monotonic() - started < 5.0
+            assert program("ok", ctx) == "ok"
+            assert program._child.pid != pid

@@ -171,8 +171,14 @@ def test_replay_matches_run_trial():
 
 @pytest.mark.parametrize(
     "cfg",
-    [SuiteConfig(eps=float("nan")), SuiteConfig(step_cap=0)],
-    ids=["nan_eps", "zero_step_cap"],
+    [
+        SuiteConfig(eps=float("nan")),
+        SuiteConfig(step_cap=0),
+        SuiteConfig(step_cap=1e7),
+        SuiteConfig(master_seed=1.5),
+        SuiteConfig(eps=True),
+    ],
+    ids=["nan_eps", "zero_step_cap", "float_step_cap", "float_master_seed", "bool_eps"],
 )
 def test_replay_validates_config(cfg):
     with pytest.raises(ConfigError):
@@ -214,8 +220,17 @@ def test_mutator_selection_is_deterministic():
         (lambda: run_trial(_echo_suite(), SuiteConfig(), -1), "trial_index must be >= 0"),
         (lambda: replay_trial(_echo_suite(), SuiteConfig(), 2**64), "trial_seed must be"),
         (lambda: run_suite(_echo_suite(), SuiteConfig(master_seed=-1)), "master_seed must be"),
+        (lambda: replay_trial(_echo_suite(), SuiteConfig(), 1.5), "trial_seed must be"),
+        (lambda: run_suite(get_suite("factorization"), SuiteConfig(step_cap=1e7)),
+         "step_cap must be int"),
+        (lambda: run_suite(_echo_suite(), SuiteConfig(master_seed=1.5)), "master_seed must be int"),
+        (lambda: run_suite(_echo_suite(), SuiteConfig(iterations=2.5)), "iterations must be int"),
+        (lambda: run_suite(_echo_suite(), SuiteConfig(iterations=True)), "iterations must be int"),
+        (lambda: run_suite(_echo_suite(), SuiteConfig(variant_id=None)), "variant_id must be str"),
     ],
-    ids=["duplicate_suite", "negative_index", "seed_2_64", "negative_master_seed"],
+    ids=["duplicate_suite", "negative_index", "seed_2_64", "negative_master_seed",
+         "float_trial_seed", "float_step_cap", "float_master_seed", "float_iterations",
+         "bool_iterations", "none_variant"],
 )
 def test_bad_configuration_raises_config_error(call, message):
     with pytest.raises(ConfigError, match=message):

@@ -6,6 +6,7 @@ import pytest
 
 from retroharness.core import MutationDescriptor, Outcome, SuiteConfig, TrialContext, run_suite
 from retroharness.generators import Rng
+from retroharness.suites import fourier
 from retroharness.suites.fourier import (
     dft,
     differential_baseline,
@@ -169,8 +170,9 @@ class TestFourierSuite:
             lambda x, ctx: None,
             lambda x, ctx: 42,
             lambda x, ctx: ["x"] * len(x),
+            lambda x, ctx: [complex(math.nan)] * len(x),
         ],
-        ids=["extra_sample", "missing_sample", "none", "int", "str_items"],
+        ids=["extra_sample", "missing_sample", "none", "int", "str_items", "nan_items"],
     )
     def test_wrong_length_output_is_violation(self, backward):
         suite = dataclasses.replace(fourier_suite(), backward=backward)
@@ -228,6 +230,19 @@ class TestBaselines:
     def test_differential_requires_power_of_two(self):
         with pytest.raises(ValueError):
             differential_baseline([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: metamorphic_baseline([1.0, 0.0, 1.0, 0.0], 0.5),
+            lambda: differential_baseline([1.0, 0.0, 1.0, 0.0]),
+            lambda: manual_fixture_check(),
+        ],
+        ids=["metamorphic", "differential", "manual_fixture"],
+    )
+    def test_nan_spectrum_is_violation(self, check, monkeypatch):
+        monkeypatch.setattr(fourier, "dft", lambda x, variant="correct": [complex(math.nan)] * len(x))
+        assert check().outcome is Outcome.VIOLATION
 
 
 class TestManualFixture:

@@ -148,11 +148,13 @@ class TestCliConfigFile:
         cfg.write_text(json.dumps({"suite": "reciprocal", "bogus": 1}))
         assert main(["run", "--config", str(cfg)]) == 2
 
-    def test_boolean_iterations_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, kind", [("iterations", "int"), ("eps", "float")],
+                             ids=["iterations", "eps"])
+    def test_boolean_iterations_rejected(self, tmp_path, capsys, key, kind):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"suite": "reciprocal", "iterations": True}))
+        cfg.write_text(json.dumps({"suite": "reciprocal", "variant": "off_by_eps", key: True}))
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "'iterations' must be int" in capsys.readouterr().err
+        assert f"'{key}' must be {kind}" in capsys.readouterr().err
 
     def test_string_seed_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
