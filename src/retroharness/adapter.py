@@ -13,6 +13,7 @@ trial and the child is restarted before the next request.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import select
 import subprocess
@@ -54,7 +55,6 @@ class ExternalProgram:
         self.timeout = timeout
         self._next_id = 1
         self._child: subprocess.Popen | None = None
-        self._buffer = bytearray()
         self._spawn()
 
     # -- process management -------------------------------------------------
@@ -72,8 +72,13 @@ class ExternalProgram:
         self._buffer = bytearray()
 
     def close(self) -> None:
+        """End the child, if any, and release both of its pipes."""
         if self._child is not None:
             self._child.kill()
+            self._child.stdout.close()
+            # Flushing a pending request into a dead child's pipe fails.
+            with contextlib.suppress(OSError):
+                self._child.stdin.close()
             self._child.wait()
             self._child = None
 
@@ -119,27 +124,25 @@ class ExternalProgram:
             raise ExternalProgramError(f"datum is not JSON: {exc}") from exc
         self._next_id += 1
         if self._child is None or self._child.poll() is not None:
+            self.close()
             self._spawn()
         try:
             self._child.stdin.write(request.encode("utf-8"))
             self._child.stdin.flush()
             line = self._read_line(self.timeout)
+            try:
+                response = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ExternalProgramError(f"malformed response line: {line!r}") from exc
+            if not isinstance(response, dict) or response.get("id") != request_id:
+                raise ExternalProgramError(f"response does not match request id: {response!r}")
+        except OSError as exc:
+            self.close()
+            raise ExternalProgramError(f"external program pipe failed: {exc}") from exc
         except ExternalProgramError:
             # Drop the child; the next call starts a clean one.
             self.close()
             raise
-        except (BrokenPipeError, OSError) as exc:
-            self.close()
-            raise ExternalProgramError(f"external program pipe failed: {exc}") from exc
-
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.close()
-            raise ExternalProgramError(f"malformed response line: {line!r}") from exc
-        if not isinstance(response, dict) or response.get("id") != request_id:
-            self.close()
-            raise ExternalProgramError(f"response does not match request id: {response!r}")
         if "error" in response:
             raise ExternalProgramError(f"external program error: {response['error']}")
         if "data" not in response:

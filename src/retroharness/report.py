@@ -40,8 +40,7 @@ def trial_record(report: TrialReport, suite: SuiteDefinition) -> dict[str, Any]:
 
 
 def render_records(reports: list[TrialReport], suite: SuiteDefinition) -> str:
-    lines = [json.dumps(trial_record(r, suite)) for r in reports]
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(json.dumps(trial_record(r, suite)) + "\n" for r in reports)
 
 
 def write_report(path: str, reports: list[TrialReport], suite: SuiteDefinition) -> None:

@@ -122,10 +122,10 @@ def pollards_rho(
         if not buggy and is_prime(m):
             return [m]
         d = try_split(m)
-        while d == m and not buggy:
+        # Retry a split into m and 1.  gcd_x never returns m: its
+        # d = gcd(x - y, x) is at most max(x, y) < m.
+        while d == m:
             d = try_split(m)
-        if d == m:
-            return [m]
         return factor(d) + factor(m // d)
 
     return factor(n)

@@ -59,27 +59,23 @@ def _coef(variant: str) -> complex:
         raise ValueError(f"unknown transform variant {variant!r}") from None
 
 
-def _transform_matrix(n: int, coef: complex) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(coef * np.pi / n * np.outer(k, k))
-
-
 def _transform(x, coef: complex) -> np.ndarray:
     a = np.asarray(list(x), dtype=complex)
     if a.size == 0:
         raise ValueError("empty sequence")
-    return _transform_matrix(a.size, coef) @ a
+    k = np.arange(a.size)
+    return np.exp(coef * np.pi / a.size * np.outer(k, k)) @ a
 
 
 def dft(x, variant: str = "correct") -> list[complex]:
     """Direct-summation transform; O(N^2)."""
-    return [complex(v) for v in _transform(x, _coef(variant))]
+    return _transform(x, _coef(variant)).tolist()
 
 
 def idft(x, variant: str = "correct") -> list[complex]:
     """Inverse transform: conjugated exponent and 1/N scaling."""
     y = _transform(x, -_coef(variant))
-    return [complex(v) for v in y / y.size]
+    return (y / y.size).tolist()
 
 
 def fft(x) -> list[complex]:
