@@ -1,7 +1,8 @@
 """Command-line front end: suite discovery, runs, and single-trial replay.
 
 Exit codes: 0 when every trial passes, 1 when at least one violation or
-program error occurred, 2 for configuration or usage errors.
+program error occurred, 2 for configuration or usage errors and for a
+report file that cannot be written.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     options = _resolve_run_options(args)
     suite = get_suite(options["suite"])
     summary, reports = run_suite(suite, _suite_config(options))
-    if options.get("report_path"):
-        write_report(options["report_path"], reports, suite)
+    if path := options.get("report_path"):
+        try:
+            write_report(path, reports, suite)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
     for line in summary_lines(summary):
         print(line)
     return 0 if summary.passes == summary.iterations else 1

@@ -146,6 +146,24 @@ class TestExternalProgram:
             with pytest.raises(ExternalProgramError, match=message):
                 program(1, make_ctx())
 
+    def test_close_releases_pipes_and_reaps_child(self):
+        program = ExternalProgram(fixture_command(ECHO))
+        child = program._child
+        program.close()
+        assert child.stdin.closed
+        assert child.stdout.closed
+        assert child.returncode is not None
+
+    def test_dead_child_is_released_before_restart(self):
+        with ExternalProgram(fixture_command(CRASH_AFTER_ONE), timeout=2.0) as program:
+            ctx = make_ctx()
+            assert program(1, ctx) == 1
+            dead = program._child
+            dead.wait(timeout=5.0)
+            assert program(2, ctx) == 2
+            assert program._child is not dead
+            assert dead.stdin.closed and dead.stdout.closed
+
     def test_spawn_failure_is_config_error(self):
         with pytest.raises(ConfigError):
             ExternalProgram(["/nonexistent/binary"])

@@ -227,10 +227,11 @@ def test_mutator_selection_is_deterministic():
         (lambda: run_suite(_echo_suite(), SuiteConfig(iterations=2.5)), "iterations must be int"),
         (lambda: run_suite(_echo_suite(), SuiteConfig(iterations=True)), "iterations must be int"),
         (lambda: run_suite(_echo_suite(), SuiteConfig(variant_id=None)), "variant_id must be str"),
+        (lambda: _echo_suite(mutators=()), "needs at least one mutator"),
     ],
     ids=["duplicate_suite", "negative_index", "seed_2_64", "negative_master_seed",
          "float_trial_seed", "float_step_cap", "float_master_seed", "float_iterations",
-         "bool_iterations", "none_variant"],
+         "bool_iterations", "none_variant", "no_mutators"],
 )
 def test_bad_configuration_raises_config_error(call, message):
     with pytest.raises(ConfigError, match=message):

@@ -77,6 +77,15 @@ class TestDft:
         with pytest.raises(ValueError):
             dft([1.0], "nope")
 
+    @pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+    def test_rejects_empty_sequence(self, transform):
+        with pytest.raises(ValueError, match="empty sequence"):
+            transform([])
+
+    @pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+    def test_items_are_python_complex(self, transform):
+        assert all(type(v) is complex for v in transform([1.0, -0.5, 0.25]))
+
 
 class TestIdft:
     def test_inverts_known_spectrum(self):

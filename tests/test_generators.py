@@ -39,6 +39,21 @@ def test_gen_real_sequence_rejects_bad_ranges():
         gen_real_sequence(rng, 1, 4, lo=1.0, hi=1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: rng.randint(2, 1),
+        lambda rng: rng.choice(""),
+        lambda rng: gen_postfix(rng, 0),
+        lambda rng: gen_expr_ast(rng, 0),
+    ],
+    ids=["randint_empty_range", "choice_empty", "postfix_no_nodes", "expr_depth_0"],
+)
+def test_degenerate_arguments_raise(call):
+    with pytest.raises(ValueError):
+        call(Rng(1))
+
+
 def test_gen_real_sequence_reproducible_and_bounded():
     first = gen_real_sequence(Rng(77), 1, 16, -1.0, 1.0)
     second = gen_real_sequence(Rng(77), 1, 16, -1.0, 1.0)

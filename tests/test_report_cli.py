@@ -119,6 +119,12 @@ class TestCliRun:
         assert len(records) == 10
         assert all(r["suite"] == "notation" for r in records)
 
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.jsonl"
+        code = main(["run", "--suite", "reciprocal", "--iterations", "5", "--report", str(path)])
+        assert code == 2
+        assert "cannot write report" in capsys.readouterr().err
+
     def test_report_files_byte_identical(self, tmp_path, capsys):
         args = ["run", "--suite", "vm", "--variant", "swap_sub", "--iterations", "30",
                 "--seed", "7"]
@@ -241,6 +247,14 @@ class TestCliReplay:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict:    pass" in out
+
+    def test_replay_of_failed_forward_reaches_no_mutation(self, capsys):
+        code = main(["replay", "--suite", "factorization", "--variant", "gcd_x",
+                     "--trial-seed", self.PINNED, "--step-cap", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "mutation:   (not reached)" in out
+        assert "stage=forward_exec" in out
 
     def test_replay_matches_reported_failure(self, tmp_path, capsys):
         path = tmp_path / "r.jsonl"

@@ -151,6 +151,11 @@ class TestEvalAst:
             eval_ast(parse_infix("7/(2-2)"), {})
         assert err.value.kind == "div_by_zero"
 
+    def test_unbound_variable(self):
+        with pytest.raises(EvalError) as err:
+            eval_ast(Var("a"), {})
+        assert err.value.kind == "unbound_variable"
+
 
 class TestDecompile:
     def test_round_trips_compiled_code(self):
@@ -163,6 +168,10 @@ class TestDecompile:
     def test_single_load(self):
         assert decompile([Instr("LOAD", "a")], "correct") == "a"
         assert decompile([Instr("LOAD", "a")], "swap_sub") == "a"
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            decompile([Instr("PUSH", 1)], "nope")
 
     def test_structural_round_trip(self):
         rng = Rng(13)
@@ -177,6 +186,13 @@ class TestBytecodeText:
         text = bytecode_to_text(code)
         assert text == "PUSH 1\nLOAD a\nADD\nPUSH 4\nDIV\n"
         assert bytecode_from_text(text) == code
+
+    def test_blank_lines_skipped_but_counted(self):
+        assert bytecode_from_text("\nPUSH 1\n   \nPUSH 2\nADD\n\n") == [
+            Instr("PUSH", 1), Instr("PUSH", 2), Instr("ADD")
+        ]
+        with pytest.raises(ValueError, match="bad bytecode line 3"):
+            bytecode_from_text("\n  \nPUSH x\n")
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
