@@ -8,6 +8,7 @@ report file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -88,15 +89,28 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _report_errors(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     options = _resolve_run_options(args)
     suite = get_suite(options["suite"])
-    summary, reports = run_suite(suite, _suite_config(options))
+    config = _suite_config(options)
     if path := options.get("report_path"):
-        try:
+        # A bad config or report path exits 2 before any trial runs; opening
+        # for append creates the file or keeps its bytes.
+        config.validate(suite)
+        with _report_errors(path):
+            open(path, "a", encoding="utf-8").close()
+    summary, reports = run_suite(suite, config)
+    if path:
+        with _report_errors(path):
             write_report(path, reports, suite)
-        except OSError as exc:
-            raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
     for line in summary_lines(summary):
         print(line)
     return 0 if summary.passes == summary.iterations else 1

@@ -13,6 +13,14 @@ transform selected by an option flag.  Relations compare real parts as
 sequences, so the identity round trip keeps the imaginary parts at rounding
 level.
 
+Each transform multiplies by the matrix exp(coef*pi/N * k*j).  For lengths
+up to ``MAX_LENGTH`` (64, the longest generated input) its tables are built
+once per process on first use (~2 MB for all lengths and coefficients): the
+distinct products k*j with an index into them per length, and their
+exponentials per coefficient.  Longer inputs build the same tables per call
+and keep nothing.  Either way every matrix entry is the same ``exp`` of the
+same argument, so results are bit-identical to building the matrix per call.
+
 Besides the round-trip suite, two baseline checks over the same inputs are
 provided for methodology comparison: a metamorphic relation (adding c to
 x_0 shifts every spectrum entry by c) that the seeded bug satisfies
@@ -59,12 +67,48 @@ def _coef(variant: str) -> complex:
         raise ValueError(f"unknown transform variant {variant!r}") from None
 
 
+# The longest sequence the suite generates; tables are kept only up to it.
+MAX_LENGTH = 64
+
+# Per length n: the sorted distinct products k*j (0 <= k, j < n) and the
+# n x n index of each product in them.  Per (n, coef): exp(coef*pi/n*products).
+_PRODUCTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_TWIDDLES: dict[tuple[int, complex], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _tables(n: int, coef: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(twiddles, index)`` for which ``twiddles[index]`` is
+    ``np.exp(coef * np.pi / n * np.outer(k, k))`` bit for bit: each entry is
+    the same ``exp`` of the same argument.  Built on first use; kept only for
+    ``n <= MAX_LENGTH``."""
+    tables = _TWIDDLES.get((n, coef))
+    if tables is not None:
+        return tables
+    keep = n <= MAX_LENGTH
+    pair = _PRODUCTS.get(n)
+    if pair is None:
+        k = np.arange(n)
+        products, index = np.unique(np.outer(k, k), return_inverse=True)
+        pair = products, index.reshape(n, n).astype(np.min_scalar_type(products.size - 1))
+        for table in pair:
+            table.flags.writeable = False
+        if keep:
+            _PRODUCTS[n] = pair
+    products, index = pair
+    twiddles = np.exp(coef * np.pi / n * products)
+    twiddles.flags.writeable = False
+    tables = twiddles, index
+    if keep:
+        _TWIDDLES[n, coef] = tables
+    return tables
+
+
 def _transform(x, coef: complex) -> np.ndarray:
     a = np.asarray(list(x), dtype=complex)
     if a.size == 0:
         raise ValueError("empty sequence")
-    k = np.arange(a.size)
-    return np.exp(coef * np.pi / a.size * np.outer(k, k)) @ a
+    twiddles, index = _tables(a.size, coef)
+    return np.take(twiddles, index) @ a
 
 
 def dft(x, variant: str = "correct") -> list[complex]:
@@ -123,7 +167,7 @@ def fourier_suite() -> SuiteDefinition:
     """
 
     def generate(ctx: TrialContext) -> list[float]:
-        return gen_real_sequence(ctx.rng, 1, 64, -1.0, 1.0)
+        return gen_real_sequence(ctx.rng, 1, MAX_LENGTH, -1.0, 1.0)
 
     def forward_correct(x, ctx: TrialContext):
         return dft(x, "correct")

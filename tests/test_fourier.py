@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from retroharness.core import MutationDescriptor, Outcome, SuiteConfig, TrialContext, run_suite
@@ -42,6 +43,22 @@ def oracle_idft(seq, coef):
             acc += seq[k] * cmath.exp(-coef * math.pi / n * k * i)
         out.append(acc / n)
     return out
+
+
+def parent_transform(x, coef):
+    """The transform before the twiddle tables: the full matrix per call."""
+    a = np.asarray(list(x), dtype=complex)
+    k = np.arange(a.size)
+    return np.exp(coef * np.pi / a.size * np.outer(k, k)) @ a
+
+
+def parent_dft(x, variant="correct"):
+    return parent_transform(x, fourier._COEF[variant]).tolist()
+
+
+def parent_idft(x, variant="correct"):
+    y = parent_transform(x, -fourier._COEF[variant])
+    return (y / y.size).tolist()
 
 
 def assert_close(actual, expected, tol=1e-12):
@@ -264,3 +281,76 @@ class TestManualFixture:
 
     def test_single_element_sanity(self):
         assert_close(dft([5.0]), [5.0])
+
+
+class TestFullMatrixParity:
+    """The transform gives the bytes of the full matrix built per call."""
+
+    @pytest.mark.parametrize("variant", sorted(fourier._COEF))
+    def test_bytes_match_full_matrix(self, variant):
+        rng = Rng(5)
+        for n in [*range(1, 65), 65, 100, 128]:
+            seq = [rng.uniform(-1, 1) for _ in range(n)]
+            spectrum = dft(seq, variant)
+            pairs = [
+                (spectrum, parent_dft(seq, variant)),
+                (idft(seq, variant), parent_idft(seq, variant)),
+                (idft(spectrum, variant), parent_idft(spectrum, variant)),
+            ]
+            for got, want in pairs:
+                assert np.array(got).tobytes() == np.array(want).tobytes(), n
+
+    def test_baseline_verdicts_match_full_matrix(self, monkeypatch):
+        rng = Rng(6)
+        cases = []
+        for _ in range(200):
+            seq = pad_to_pow2([rng.uniform(-1, 1) for _ in range(rng.randint(1, 128))])
+            cases.append((seq, rng.random(), rng.choice(sorted(fourier._COEF))))
+
+        def verdicts():
+            return [
+                (metamorphic_baseline(seq, c, variant), differential_baseline(seq, variant))
+                for seq, c, variant in cases
+            ]
+
+        cached = verdicts()
+        monkeypatch.setattr(fourier, "dft", parent_dft)
+        full = verdicts()
+        assert [[(v.outcome, v.detail) for v in pair] for pair in cached] == [
+            [(v.outcome, v.detail) for v in pair] for pair in full
+        ]
+
+
+class TestTwiddleTables:
+    def _sizes(self):
+        return len(fourier._PRODUCTS), len(fourier._TWIDDLES)
+
+    @pytest.mark.parametrize("n", [65, 200])
+    def test_long_input_keeps_no_table(self, n):
+        assert n > fourier.MAX_LENGTH
+        before = self._sizes()
+        dft([1.0] * n)
+        idft([1.0] * n, "coef_minus_1j")
+        assert self._sizes() == before
+
+    def test_short_input_keeps_its_tables(self):
+        dft([1.0] * 7)
+        assert 7 in fourier._PRODUCTS and (7, fourier._COEF["correct"]) in fourier._TWIDDLES
+
+    def test_cached_tables_are_read_only(self):
+        dft([1.0, 2.0, 3.0])
+        twiddles, index = fourier._TWIDDLES[3, fourier._COEF["correct"]]
+        products, _ = fourier._PRODUCTS[3]
+        with pytest.raises(ValueError):
+            twiddles[0] = 0
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+        with pytest.raises(ValueError):
+            products[0] = 1
+
+    def test_mutating_a_result_leaves_the_next_unchanged(self):
+        seq = [0.5, -0.25, 1.0, 0.0, 0.75]
+        first = dft(seq)
+        expected = list(first)
+        first[:] = [complex(99)] * len(first)
+        assert dft(seq) == expected

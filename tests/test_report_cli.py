@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from retroharness import cli
 from retroharness.cli import main
 from retroharness.core import SuiteConfig, get_suite, run_suite
 from retroharness.report import SCHEMA_VERSION, read_records, render_records
@@ -124,6 +125,28 @@ class TestCliRun:
         code = main(["run", "--suite", "reciprocal", "--iterations", "5", "--report", str(path)])
         assert code == 2
         assert "cannot write report" in capsys.readouterr().err
+
+    def test_unwritable_report_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("trials ran before the report path was checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        path = tmp_path / "missing" / "out.jsonl"
+        code = main(["run", "--suite", "reciprocal", "--iterations", "5", "--report", str(path)])
+        assert code == 2
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_bad_config_keeps_existing_report(self, tmp_path, capsys):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b'{"kept": true}\n')
+        code = main(["run", "--suite", "reciprocal", "--iterations", "0", "--report", str(path)])
+        assert code == 2
+        assert path.read_bytes() == b'{"kept": true}\n'
+
+    def test_bad_config_creates_no_report(self, tmp_path, capsys):
+        path = tmp_path / "out.jsonl"
+        assert main(["run", "--suite", "reciprocal", "--iterations", "0", "--report", str(path)]) == 2
+        assert not path.exists()
 
     def test_report_files_byte_identical(self, tmp_path, capsys):
         args = ["run", "--suite", "vm", "--variant", "swap_sub", "--iterations", "30",
