@@ -45,19 +45,19 @@ def oracle_idft(seq, coef):
     return out
 
 
-def parent_transform(x, coef):
-    """The transform before the twiddle tables: the full matrix per call."""
+def full_matrix_transform(x, coef):
+    """Reference transform: the whole exp matrix built on every call."""
     a = np.asarray(list(x), dtype=complex)
     k = np.arange(a.size)
     return np.exp(coef * np.pi / a.size * np.outer(k, k)) @ a
 
 
-def parent_dft(x, variant="correct"):
-    return parent_transform(x, fourier._COEF[variant]).tolist()
+def full_matrix_dft(x, variant="correct"):
+    return full_matrix_transform(x, fourier._COEF[variant]).tolist()
 
 
-def parent_idft(x, variant="correct"):
-    y = parent_transform(x, -fourier._COEF[variant])
+def full_matrix_idft(x, variant="correct"):
+    y = full_matrix_transform(x, -fourier._COEF[variant])
     return (y / y.size).tolist()
 
 
@@ -293,9 +293,9 @@ class TestFullMatrixParity:
             seq = [rng.uniform(-1, 1) for _ in range(n)]
             spectrum = dft(seq, variant)
             pairs = [
-                (spectrum, parent_dft(seq, variant)),
-                (idft(seq, variant), parent_idft(seq, variant)),
-                (idft(spectrum, variant), parent_idft(spectrum, variant)),
+                (spectrum, full_matrix_dft(seq, variant)),
+                (idft(seq, variant), full_matrix_idft(seq, variant)),
+                (idft(spectrum, variant), full_matrix_idft(spectrum, variant)),
             ]
             for got, want in pairs:
                 assert np.array(got).tobytes() == np.array(want).tobytes(), n
@@ -314,7 +314,7 @@ class TestFullMatrixParity:
             ]
 
         cached = verdicts()
-        monkeypatch.setattr(fourier, "dft", parent_dft)
+        monkeypatch.setattr(fourier, "dft", full_matrix_dft)
         full = verdicts()
         assert [[(v.outcome, v.detail) for v in pair] for pair in cached] == [
             [(v.outcome, v.detail) for v in pair] for pair in full
