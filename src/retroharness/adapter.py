@@ -27,6 +27,16 @@ __all__ = ["ExternalProgramError", "ExternalProgram"]
 DEFAULT_TIMEOUT = 10.0
 # Longest response line buffered; a longer one is the program's error.
 MAX_RESPONSE_BYTES = 16 * 2**20
+# Longest prefix of a bad response line quoted in its error.
+ECHO_BYTES = 200
+
+
+def _echo(line: bytes) -> str:
+    """A bad response line for an error message: its length and at most
+    ``ECHO_BYTES`` of its start, so an error stays small however long the
+    line was."""
+    more = "..." if len(line) > ECHO_BYTES else ""
+    return f"{len(line)} bytes: {line[:ECHO_BYTES]!r}{more}"
 
 
 class ExternalProgramError(RuntimeError):
@@ -133,9 +143,11 @@ class ExternalProgram:
             try:
                 response = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ExternalProgramError(f"malformed response line: {line!r}") from exc
+                raise ExternalProgramError(f"malformed response line of {_echo(line)}") from exc
             if not isinstance(response, dict) or response.get("id") != request_id:
-                raise ExternalProgramError(f"response does not match request id: {response!r}")
+                raise ExternalProgramError(
+                    f"response does not match request id {request_id}, line of {_echo(line)}"
+                )
         except OSError as exc:
             self.close()
             raise ExternalProgramError(f"external program pipe failed: {exc}") from exc
@@ -146,5 +158,7 @@ class ExternalProgram:
         if "error" in response:
             raise ExternalProgramError(f"external program error: {response['error']}")
         if "data" not in response:
-            raise ExternalProgramError(f"response carries neither data nor error: {response!r}")
+            raise ExternalProgramError(
+                f"response carries neither data nor error, line of {_echo(line)}"
+            )
         return response["data"]

@@ -29,6 +29,7 @@ __all__ = [
     "Stage",
     "Outcome",
     "Verdict",
+    "relation_detail",
     "MutationDescriptor",
     "Mutator",
     "IDENTITY_MUTATOR",
@@ -78,33 +79,67 @@ class Outcome(enum.Enum):
     PROGRAM_ERROR = "program_error"
 
 
-@dataclass(frozen=True)
+def relation_detail(m1_repr: str, m1_prime_repr: str) -> str:
+    """Detail text of a relation violation, from the two values' reprs."""
+    return f"relation violated: m1={m1_repr} m1_prime={m1_prime_repr}"
+
+
+@dataclass(frozen=True, eq=False)
 class Verdict:
     """Result of one trial: exactly one of pass / violation / program error.
 
-    A violation always carries a human-readable rendering of the original
-    and round-tripped data; a program error records the stage that failed.
+    A program error records the stage that failed.  A relation violation
+    keeps the original and round-tripped data as ``violated_pair`` and
+    renders them into ``detail`` only when it is read, so a run that never
+    reads a detail never pays for two reprs.  Verdicts compare and hash by
+    outcome, stage and detail text.
     """
 
     outcome: Outcome
     stage: Stage | None = None
-    detail: str = ""
+    message: str = ""
+    violated_pair: tuple[Any, Any] | None = None
 
     @classmethod
     def passed(cls) -> "Verdict":
-        return cls(Outcome.PASS)
+        return _PASSED
 
     @classmethod
     def violation(cls, detail: str) -> "Verdict":
-        return cls(Outcome.VIOLATION, detail=detail)
+        return cls(Outcome.VIOLATION, message=detail)
+
+    @classmethod
+    def relation_violated(cls, m1: Any, m1_prime: Any) -> "Verdict":
+        return cls(Outcome.VIOLATION, violated_pair=(m1, m1_prime))
 
     @classmethod
     def program_error(cls, stage: Stage, message: str) -> "Verdict":
-        return cls(Outcome.PROGRAM_ERROR, stage=stage, detail=message)
+        return cls(Outcome.PROGRAM_ERROR, stage=stage, message=message)
+
+    @property
+    def detail(self) -> str:
+        if self.violated_pair is None:
+            return self.message
+        m1, m1_prime = self.violated_pair
+        return relation_detail(repr(m1), repr(m1_prime))
 
     @property
     def is_pass(self) -> bool:
         return self.outcome is Outcome.PASS
+
+    def _key(self) -> tuple:
+        return (self.outcome, self.stage, self.detail)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+_PASSED = Verdict(Outcome.PASS)
 
 
 @dataclass(frozen=True)
@@ -337,7 +372,7 @@ def _execute(
         if suite.relation(m1, m1_prime, mutation, ctx):
             verdict = Verdict.passed()
         else:
-            verdict = Verdict.violation(f"relation violated: m1={m1!r} m1_prime={m1_prime!r}")
+            verdict = Verdict.relation_violated(m1, m1_prime)
     except Exception as exc:  # noqa: BLE001 - program failures become verdicts
         verdict = Verdict.program_error(stage, f"{type(exc).__name__}: {exc}")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import SuiteDefinition, SuiteSummary, TrialReport
+from .core import SuiteDefinition, SuiteSummary, TrialReport, relation_detail
 
 __all__ = ["SCHEMA_VERSION", "trial_record", "render_records", "write_report", "read_records"]
 
@@ -20,11 +20,19 @@ def trial_record(report: TrialReport, suite: SuiteDefinition) -> dict[str, Any]:
     mutation = None
     if report.mutation is not None:
         mutation = {"name": report.mutation.name, "parameters": dict(report.mutation.parameters)}
+    m1, m1_prime = report.m1, report.m1_prime
+    m1_repr, m1_prime_repr = repr(m1), repr(m1_prime)
     verdict: dict[str, Any] = {"kind": report.verdict.outcome.value}
     if report.verdict.stage is not None:
         verdict["stage"] = report.verdict.stage.value
-    if report.verdict.detail:
-        verdict["detail"] = report.verdict.detail
+    pair = report.verdict.violated_pair
+    if pair is not None and pair[0] is m1 and pair[1] is m1_prime:
+        # The verdict's pair is the record's own data: reuse its reprs.
+        detail = relation_detail(m1_repr, m1_prime_repr)
+    else:
+        detail = report.verdict.detail
+    if detail:
+        verdict["detail"] = detail
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": report.suite,
@@ -34,8 +42,8 @@ def trial_record(report: TrialReport, suite: SuiteDefinition) -> dict[str, Any]:
         "mode": suite.mode.value,
         "mutation": mutation,
         "verdict": verdict,
-        "m1_repr": repr(report.m1) if report.m1 is not None else "",
-        "m1_prime_repr": repr(report.m1_prime) if report.m1_prime is not None else "",
+        "m1_repr": m1_repr if m1 is not None else "",
+        "m1_prime_repr": m1_prime_repr if m1_prime is not None else "",
     }
 
 

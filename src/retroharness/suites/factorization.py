@@ -14,6 +14,7 @@ in gcd; all three outcomes are observable verdicts.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from ..core import Mode, StepCapExceeded, SuiteDefinition, TrialContext, Variant, _is_real
@@ -29,6 +30,23 @@ __all__ = [
 
 # Witnesses making Miller-Rabin deterministic for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# _MR_BOUNDS[k - 1] is the least odd composite that passes the strong
+# test to each of the first k witnesses (OEIS A014233), so the first k
+# witnesses decide every n below it.  All 12 decide every n below 2**64.
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+)
 
 # Raised by gcd and by rho's inner loop, which calls math.gcd directly.
 _GCD_ZERO = "gcd(0, 0) is undefined"
@@ -46,7 +64,14 @@ def gcd(a: int, b: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every 64-bit integer."""
+    """Deterministic Miller-Rabin, exact for every 64-bit integer.
+
+    Only as many witnesses are tried as n needs: the first k when n is
+    below the least odd composite that passes all k (OEIS A014233;
+    Jaeschke, Math. Comp. 1993, and Jiang and Deng, Math. Comp. 2014), so
+    five for any n below 2.1e12, and all twelve from 3.8e18 up.  No
+    randomness is drawn.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -57,7 +82,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect.bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

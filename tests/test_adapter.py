@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import time
 
@@ -13,6 +14,7 @@ from retroharness.core import (
     SuiteDefinition,
     TrialContext,
     run_suite,
+    run_trial,
 )
 from retroharness.generators import Rng
 
@@ -62,6 +64,21 @@ import json, sys
 for line in sys.stdin:
     req = json.loads(line)
     print(json.dumps({"id": req["id"]}), flush=True)
+"""
+
+
+# Answers "flood" with a 1 MiB line that is not JSON and "stray" with a
+# 1 MiB response under the wrong id; echoes anything else.
+FLOOD_LINE = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["data"] == "flood":
+        print("x" * 2**20, flush=True)
+    elif req["data"] == "stray":
+        print(json.dumps({"id": req["id"] + 1, "data": "y" * 2**20}), flush=True)
+    else:
+        print(json.dumps({"id": req["id"], "data": req["data"]}), flush=True)
 """
 
 
@@ -211,4 +228,19 @@ for line in sys.stdin:
                 program("flood", ctx)
             assert time.monotonic() - started < 5.0
             assert program("ok", ctx) == "ok"
+            assert program._child.pid != pid
+
+    @pytest.mark.parametrize("datum, message", [
+        ("flood", "malformed response line of 1048576 bytes: b'xxx"),
+        ("stray", "does not match request id 1, line of 1048597 bytes: b'{\"id\": 2"),
+    ], ids=["not_json", "wrong_id"])
+    def test_long_bad_line_is_echoed_in_bounded_form(self, datum, message):
+        with ExternalProgram(fixture_command(FLOOD_LINE), timeout=10.0) as program:
+            pid = program._child.pid
+            suite = dataclasses.replace(external_suite(program), generator=lambda ctx: datum)
+            report = run_trial(suite, SuiteConfig(), 0)
+            assert report.verdict.stage is Stage.FORWARD_EXEC
+            assert message in report.verdict.detail
+            assert len(report.verdict.detail) < 400
+            assert program("ok", make_ctx()) == "ok"
             assert program._child.pid != pid

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -12,6 +13,7 @@ from retroharness.core import (
     SuiteConfig,
     SuiteDefinition,
     Variant,
+    Verdict,
     derive_trial_seed,
     get_suite,
     register_suite,
@@ -19,6 +21,7 @@ from retroharness.core import (
     run_suite,
     run_trial,
 )
+from retroharness.report import render_records
 
 
 def test_derive_trial_seed_deterministic():
@@ -103,6 +106,103 @@ def test_violation_detail_renders_both_values():
     report = run_trial(suite, SuiteConfig(), 1)
     assert report.verdict.outcome is Outcome.VIOLATION
     assert "m1=" in report.verdict.detail and "m1_prime=" in report.verdict.detail
+
+
+class _CountedRepr:
+    """A returned datum that counts the calls to its ``__repr__``."""
+
+    def __init__(self, value, calls):
+        self.value = value
+        self.calls = calls
+
+    def __repr__(self):
+        self.calls.append(None)
+        return f"Counted({self.value})"
+
+
+def _counted_suite(calls):
+    # Every third input comes back wrong: a mix of passes and violations.
+    return _echo_suite(
+        backward=lambda v, ctx: _CountedRepr(v + (v % 3 == 0), calls),
+        relation=lambda m1, m1p, mutation, ctx: m1 == m1p.value,
+    )
+
+
+class TestLazyViolationDetail:
+    def test_run_suite_renders_no_detail(self):
+        calls = []
+        summary, _ = run_suite(_counted_suite(calls), SuiteConfig(iterations=60))
+        assert summary.violations > 0 and summary.passes > 0
+        assert calls == []
+
+    def test_render_records_reprs_each_value_once_per_record(self):
+        calls = []
+        suite = _counted_suite(calls)
+        _, reports = run_suite(suite, SuiteConfig(iterations=60))
+        records = [json.loads(line) for line in render_records(reports, suite).splitlines()]
+        assert len(calls) == len(records) == 60
+        for report, record in zip(reports, records):
+            if report.verdict.is_pass:
+                assert "detail" not in record["verdict"]
+            else:
+                assert record["verdict"]["detail"] == (
+                    f"relation violated: m1={record['m1_repr']} "
+                    f"m1_prime={record['m1_prime_repr']}"
+                )
+
+    def test_detail_is_the_rendered_pair(self):
+        calls = []
+        _, reports = run_suite(_counted_suite(calls), SuiteConfig(iterations=60))
+        violated = [r for r in reports if r.verdict.outcome is Outcome.VIOLATION]
+        assert violated
+        for report in violated:
+            m1, m1_prime = report.m1, report.m1_prime
+            assert report.verdict.detail == f"relation violated: m1={m1!r} m1_prime={m1_prime!r}"
+            assert report.verdict == Verdict.violation(report.verdict.detail)
+            assert hash(report.verdict) == hash(Verdict.violation(report.verdict.detail))
+
+    def test_record_of_foreign_data_reads_the_verdict(self):
+        # A report whose data is not the verdict's pair keeps the verdict's text.
+        suite = _echo_suite(forward=lambda v, ctx: v + 1)
+        report = dataclasses.replace(run_trial(suite, SuiteConfig(), 1), m1=-5)
+        record = json.loads(render_records([report], suite))
+        assert record["m1_repr"] == "-5"
+        assert record["verdict"]["detail"] == report.verdict.detail
+        assert "m1=-5" not in record["verdict"]["detail"]
+
+    def test_none_m1_is_named_in_detail_but_not_in_record(self):
+        suite = dataclasses.replace(
+            _echo_suite(relation=lambda m1, m1p, mutation, ctx: False),
+            generator=lambda ctx: None,
+        )
+        report = run_trial(suite, SuiteConfig(), 0)
+        assert report.verdict.detail == "relation violated: m1=None m1_prime=None"
+        record = json.loads(render_records([report], suite))
+        assert record["verdict"]["detail"] == report.verdict.detail
+        assert record["m1_repr"] == record["m1_prime_repr"] == ""
+
+    def test_unrepresentable_value_is_a_violation_that_raises_on_read(self):
+        # An int past Python's 4,300-digit str limit cannot be repr'd.  The
+        # relation decided the verdict; the error shows where text is read.
+        suite = _echo_suite(
+            backward=lambda v, ctx: 10**5000,
+            relation=lambda m1, m1p, mutation, ctx: m1 == m1p,
+        )
+        report = run_trial(suite, SuiteConfig(), 0)
+        assert report.verdict.outcome is Outcome.VIOLATION
+        assert report.verdict.stage is None
+        with pytest.raises(ValueError):
+            report.verdict.detail
+        with pytest.raises(ValueError):
+            render_records([report], suite)
+
+
+def test_passed_verdict_is_one_shared_instance():
+    assert Verdict.passed() is Verdict.passed()
+    assert Verdict.passed() == Verdict(Outcome.PASS)
+    assert Verdict.passed().detail == ""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Verdict.passed().outcome = Outcome.VIOLATION
 
 
 def test_every_trial_yields_exactly_one_verdict_kind():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -147,6 +148,71 @@ class TestIsPrime:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         for n in range(2, limit + 1):
             assert is_prime(n) == bool(sieve[n]), n
+
+
+# The parent rule: Miller-Rabin to all twelve prime witnesses for every n.
+TWELVE_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# OEIS A014233 for k = 1..11: the least odd composite that is a strong
+# probable prime to each of the first k prime bases.
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051,
+)
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin of an odd n > 37 to each of ``bases``."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def twelve_base_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in TWELVE_WITNESSES:
+        if n % p == 0:
+            return n == p
+    return strong_probable_prime(n, TWELVE_WITNESSES)
+
+
+class TestWitnessCount:
+    """``is_prime`` tries only the witnesses n needs; its answers must be
+    the twelve-witness test's."""
+
+    @pytest.mark.parametrize("k, bound", enumerate(A014233, start=1))
+    def test_boundary_composite(self, k, bound):
+        # The bound fools the first k witnesses, so n = bound needs k + 1.
+        assert strong_probable_prime(bound, TWELVE_WITNESSES[:k])
+        assert not is_prime(bound)
+        for n in range(bound - 2, bound + 3):
+            assert is_prime(n) == twelve_base_is_prime(n), n
+
+    def test_agrees_below_200k(self):
+        for n in range(-2, 200_000):
+            assert is_prime(n) == twelve_base_is_prime(n), n
+
+    def test_agrees_on_random_64_bit_values(self):
+        # Bit lengths 1..64 drawn evenly, so every witness count is used.
+        rng = random.Random(20261018)
+        values = [rng.getrandbits(rng.randint(1, 64)) for _ in range(100_000)]
+        assert sum(map(is_prime, values)) > 1000
+        for n in values:
+            assert is_prime(n) == twelve_base_is_prime(n), n
 
 
 class TestPollardsRho:
