@@ -8,7 +8,8 @@ on failure.  Requests are strict JSON: a datum holding NaN or an infinity
 is refused before it is sent.  At most one request is in flight per
 process.  A response timeout, a response line longer than
 ``MAX_RESPONSE_BYTES`` or a dead child yields a program error for that
-trial and the child is restarted before the next request.
+trial and the child is restarted before the next request.  An error the
+child reports is a program error too, and the child keeps running.
 """
 
 from __future__ import annotations
@@ -17,26 +18,29 @@ import contextlib
 import json
 import select
 import subprocess
+import threading
 import time
 from typing import Any, Sequence
 
-from .core import ConfigError, TrialContext
+from .core import ConfigError, TrialContext, _is_real
 
 __all__ = ["ExternalProgramError", "ExternalProgram"]
 
 DEFAULT_TIMEOUT = 10.0
 # Longest response line buffered; a longer one is the program's error.
 MAX_RESPONSE_BYTES = 16 * 2**20
-# Longest prefix of a bad response line quoted in its error.
+# Longest prefix of a bad response line, or of a long reported error, quoted
+# in its error.
 ECHO_BYTES = 200
 
 
-def _echo(line: bytes) -> str:
-    """A bad response line for an error message: its length and at most
-    ``ECHO_BYTES`` of its start, so an error stays small however long the
-    line was."""
-    more = "..." if len(line) > ECHO_BYTES else ""
-    return f"{len(line)} bytes: {line[:ECHO_BYTES]!r}{more}"
+def _echo(text: bytes | str) -> str:
+    """A bad response line or a long error for an error message: its length
+    and at most ``ECHO_BYTES`` of its start, so an error stays small however
+    long the text was."""
+    more = "..." if len(text) > ECHO_BYTES else ""
+    unit = "bytes" if isinstance(text, bytes) else "characters"
+    return f"{len(text)} {unit}: {text[:ECHO_BYTES]!r}{more}"
 
 
 class ExternalProgramError(RuntimeError):
@@ -60,6 +64,12 @@ class ExternalProgram:
     ) -> None:
         if role not in ("forward", "backward"):
             raise ConfigError(f"role must be 'forward' or 'backward', got {role!r}")
+        # select() cannot wait longer than TIMEOUT_MAX, nor on NaN.
+        if not (_is_real(timeout) and 0 < timeout <= threading.TIMEOUT_MAX):
+            raise ConfigError(
+                f"timeout must be a number of seconds in (0, {threading.TIMEOUT_MAX}], "
+                f"got {timeout!r}"
+            )
         self.command = list(command)
         self.role = role
         self.timeout = timeout
@@ -156,7 +166,10 @@ class ExternalProgram:
             self.close()
             raise
         if "error" in response:
-            raise ExternalProgramError(f"external program error: {response['error']}")
+            error = str(response["error"])
+            if len(error) > ECHO_BYTES:
+                error = _echo(error)
+            raise ExternalProgramError(f"external program error: {error}")
         if "data" not in response:
             raise ExternalProgramError(
                 f"response carries neither data nor error, line of {_echo(line)}"

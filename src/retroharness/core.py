@@ -15,7 +15,7 @@ ordered by trial index.
 from __future__ import annotations
 
 import enum
-import math
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
@@ -267,7 +267,9 @@ class SuiteConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
-        if not 0 <= self.eps < math.inf:
+        # An int eps past float range would overflow where a relation mixes it
+        # with floats.
+        if not 0 <= self.eps <= sys.float_info.max:
             raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
         if self.step_cap < 1:
             raise ConfigError(f"step_cap must be >= 1, got {self.step_cap}")

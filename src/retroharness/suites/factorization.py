@@ -17,7 +17,15 @@ from __future__ import annotations
 import bisect
 import math
 
-from ..core import Mode, StepCapExceeded, SuiteDefinition, TrialContext, Variant, _is_real
+from ..core import (
+    Mode,
+    StepCapExceeded,
+    SuiteConfig,
+    SuiteDefinition,
+    TrialContext,
+    Variant,
+    _is_real,
+)
 from ..generators import Rng, gen_integer
 
 __all__ = [
@@ -99,7 +107,7 @@ def pollards_rho(
     n: int,
     variant: str,
     rng: Rng,
-    step_cap: int = 10_000_000,
+    step_cap: int = SuiteConfig.step_cap,
 ) -> list[int]:
     """Factor n with Pollard's rho; the total number of polynomial
     iterations across the whole recursion is bounded by step_cap.

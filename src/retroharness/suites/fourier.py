@@ -13,13 +13,14 @@ transform selected by an option flag.  Relations compare real parts as
 sequences, so the identity round trip keeps the imaginary parts at rounding
 level.
 
-Each transform multiplies by the matrix exp(coef*pi/N * k*j).  For lengths
-up to ``MAX_LENGTH`` (64, the longest generated input) its tables are built
-once per process on first use (~2 MB for all lengths and coefficients): the
-distinct products k*j with an index into them per length, and their
-exponentials per coefficient.  Longer inputs build the same tables per call
-and keep nothing.  Either way every matrix entry is the same ``exp`` of the
-same argument, so results are bit-identical to building the matrix per call.
+Each transform multiplies by the matrix exp(coef*pi/N * k*j), built from
+two tables: the exponentials of the distinct products k*j, and an index of
+each product in them.  For lengths up to ``MAX_LENGTH`` (64, the longest
+generated input) the tables are built once per process per (length,
+coefficient) on first use, about 2.5 MB for all of them.  Longer inputs
+build the same tables per call and keep nothing.  Either way every matrix
+entry is the same ``exp`` of the same argument, so results are
+bit-identical to building the matrix per call.
 
 Besides the round-trip suite, two baseline checks over the same inputs are
 provided for methodology comparison: a metamorphic relation (adding c to
@@ -30,6 +31,7 @@ identically, and a differential check against a radix-2 FFT.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from ..core import (
     IDENTITY_MUTATOR,
     Mode,
     Mutator,
+    SuiteConfig,
     SuiteDefinition,
     TrialContext,
     Variant,
@@ -70,44 +73,30 @@ def _coef(variant: str) -> complex:
 # The longest sequence the suite generates; tables are kept only up to it.
 MAX_LENGTH = 64
 
-# Per length n: the sorted distinct products k*j (0 <= k, j < n) and the
-# n x n index of each product in them.  Per (n, coef): exp(coef*pi/n*products).
-_PRODUCTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_TWIDDLES: dict[tuple[int, complex], tuple[np.ndarray, np.ndarray]] = {}
-
 
 def _tables(n: int, coef: complex) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(twiddles, index)`` for which ``twiddles[index]`` is
-    ``np.exp(coef * np.pi / n * np.outer(k, k))`` bit for bit: each entry is
-    the same ``exp`` of the same argument.  Built on first use; kept only for
-    ``n <= MAX_LENGTH``."""
-    tables = _TWIDDLES.get((n, coef))
-    if tables is not None:
-        return tables
-    keep = n <= MAX_LENGTH
-    pair = _PRODUCTS.get(n)
-    if pair is None:
-        k = np.arange(n)
-        products, index = np.unique(np.outer(k, k), return_inverse=True)
-        pair = products, index.reshape(n, n).astype(np.min_scalar_type(products.size - 1))
-        for table in pair:
-            table.flags.writeable = False
-        if keep:
-            _PRODUCTS[n] = pair
-    products, index = pair
+    ``np.exp(coef * np.pi / n * np.outer(k, k))`` bit for bit: ``twiddles``
+    holds the ``exp`` of each distinct product k*j (0 <= k, j < n), and the
+    n x n ``index`` places each product in it."""
+    k = np.arange(n)
+    products, index = np.unique(np.outer(k, k), return_inverse=True)
     twiddles = np.exp(coef * np.pi / n * products)
-    twiddles.flags.writeable = False
-    tables = twiddles, index
-    if keep:
-        _TWIDDLES[n, coef] = tables
-    return tables
+    index = index.reshape(n, n).astype(np.min_scalar_type(products.size - 1))
+    twiddles.flags.writeable = index.flags.writeable = False
+    return twiddles, index
+
+
+# Built on first use per (n, coef) and kept for the process.
+_kept_tables = functools.cache(_tables)
 
 
 def _transform(x, coef: complex) -> np.ndarray:
     a = np.asarray(list(x), dtype=complex)
     if a.size == 0:
         raise ValueError("empty sequence")
-    twiddles, index = _tables(a.size, coef)
+    build = _kept_tables if a.size <= MAX_LENGTH else _tables
+    twiddles, index = build(a.size, coef)
     return np.take(twiddles, index) @ a
 
 
@@ -208,7 +197,9 @@ def fourier_suite() -> SuiteDefinition:
     )
 
 
-def metamorphic_baseline(x, c: float, variant: str = "correct", eps: float = 1e-10) -> Verdict:
+def metamorphic_baseline(
+    x, c: float, variant: str = "correct", eps: float = SuiteConfig.eps
+) -> Verdict:
     """Single-program check: adding c to x_0 must add c to every X_k.
 
     The seeded exponent bug still maps the first input sample with weight
@@ -227,7 +218,7 @@ def metamorphic_baseline(x, c: float, variant: str = "correct", eps: float = 1e-
     )
 
 
-def differential_baseline(x, variant: str = "correct", eps: float = 1e-10) -> Verdict:
+def differential_baseline(x, variant: str = "correct", eps: float = SuiteConfig.eps) -> Verdict:
     """Compare the direct transform against the radix-2 FFT on real parts.
 
     The input length must already be a power of two (:func:`fft` raises
@@ -246,7 +237,7 @@ def differential_baseline(x, variant: str = "correct", eps: float = 1e-10) -> Ve
     )
 
 
-def manual_fixture_check(variant: str = "correct", eps: float = 1e-10) -> Verdict:
+def manual_fixture_check(variant: str = "correct", eps: float = SuiteConfig.eps) -> Verdict:
     """The classic hand-written fixture: [1, 0, 1, 0] transforms to
     [2, 0, 2, 0]."""
     expected = [2.0, 0.0, 2.0, 0.0]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import time
 
@@ -57,6 +58,14 @@ import json, sys
 for line in sys.stdin:
     req = json.loads(line)
     print(json.dumps({"id": req["id"] + 1, "data": req["data"]}), flush=True)
+"""
+
+# Reports an error of as many characters as the datum says.
+LONG_ERROR = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"], "error": "e" * req["data"]}), flush=True)
 """
 
 NO_PAYLOAD = """
@@ -189,6 +198,13 @@ class TestExternalProgram:
         with pytest.raises(ConfigError):
             ExternalProgram(fixture_command(ECHO), role="sideways")
 
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0, -1, True, 10**400],
+                             ids=["nan", "inf", "zero", "negative", "bool", "past_select_range"])
+    def test_timeout_select_cannot_wait_on_is_refused_before_spawn(self, timeout, monkeypatch):
+        monkeypatch.setattr(ExternalProgram, "_spawn", lambda self: pytest.fail("child spawned"))
+        with pytest.raises(ConfigError, match="timeout must be"):
+            ExternalProgram(fixture_command(ECHO), timeout=timeout)
+
     def test_errors_do_not_poison_later_trials(self):
         # A sentinel datum stalls the child; other data echo normally even
         # after the stalled child was killed and replaced.
@@ -244,3 +260,17 @@ for line in sys.stdin:
             assert len(report.verdict.detail) < 400
             assert program("ok", make_ctx()) == "ok"
             assert program._child.pid != pid
+
+    def test_long_reported_error_is_quoted_in_bounded_form(self):
+        with ExternalProgram(fixture_command(LONG_ERROR), timeout=10.0) as program:
+            pid = program._child.pid
+            with pytest.raises(ExternalProgramError) as long_error:
+                program(2**20, make_ctx())
+            detail = str(long_error.value)
+            assert detail.startswith("external program error: 1048576 characters: 'eee")
+            assert detail.endswith("...") and len(detail) < 400
+            # An error of up to ECHO_BYTES characters is kept whole.
+            whole = "e" * adapter.ECHO_BYTES
+            with pytest.raises(ExternalProgramError, match=f"^external program error: {whole}$"):
+                program(adapter.ECHO_BYTES, make_ctx())
+            assert program._child.pid == pid

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -328,14 +329,23 @@ def test_mutator_selection_is_deterministic():
         (lambda: run_suite(_echo_suite(), SuiteConfig(iterations=True)), "iterations must be int"),
         (lambda: run_suite(_echo_suite(), SuiteConfig(variant_id=None)), "variant_id must be str"),
         (lambda: _echo_suite(mutators=()), "needs at least one mutator"),
+        (lambda: run_suite(get_suite("reciprocal"), SuiteConfig(eps=10**400)),
+         "eps must be finite"),
     ],
     ids=["duplicate_suite", "negative_index", "seed_2_64", "negative_master_seed",
          "float_trial_seed", "float_step_cap", "float_master_seed", "float_iterations",
-         "bool_iterations", "none_variant", "no_mutators"],
+         "bool_iterations", "none_variant", "no_mutators", "int_eps_past_float_range"],
 )
 def test_bad_configuration_raises_config_error(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
+
+
+def test_largest_int_eps_in_float_range_runs():
+    # The largest float, as an int, still mixes with floats in a relation.
+    summary, _ = run_suite(get_suite("reciprocal"),
+                           SuiteConfig(iterations=5, eps=int(sys.float_info.max)))
+    assert summary.passes == 5
 
 
 @pytest.mark.parametrize("suite_name", ["factorization", "factorization_strict", "sine_forward"])

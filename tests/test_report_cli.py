@@ -206,6 +206,14 @@ class TestCliConfigFile:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "eps must be finite" in capsys.readouterr().err
 
+    def test_integer_eps_past_float_range_rejected(self, tmp_path, capsys):
+        # Any int passes 0 <= eps < inf, but one past float range overflows
+        # in a relation.
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"suite": "reciprocal", "iterations": 5, "eps": 1%s}' % ("0" * 400))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "eps must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config file"),
         ("{", "is not valid JSON"),
