@@ -22,7 +22,7 @@ x = [1.0, 0.0, 1.0, 0.0]
 print("input x =", x)
 print("correct spectrum :", [round(v.real, 3) for v in dft(x, "correct")])
 print("buggy spectrum   :", [round(v.real, 3) for v in dft(x, "coef_minus_1j")])
-# (real parts shown; the relations below compare real parts as well)
+# (real parts shown; the relations below compare complex values)
 
 round_trip = idft(dft(x, "coef_minus_1j"), "coef_minus_1j")
 print("buggy round trip :", [round(v.real, 3) for v in round_trip])

@@ -6,16 +6,18 @@ newline-delimited JSON protocol on stdin/stdout: each request is one line
 ``{"id": n, "data": <datum>}`` on success or ``{"id": n, "error": "..."}``
 on failure.  Requests are strict JSON: a datum holding NaN or an infinity
 is refused before it is sent.  At most one request is in flight per
-process.  A response timeout, a response line longer than
-``MAX_RESPONSE_BYTES`` or a dead child yields a program error for that
-trial and the child is restarted before the next request.  An error the
-child reports is a program error too, and the child keeps running.
+process.  The timeout bounds writing the request and reading the response
+together, so a child that stops reading its input cannot stall a call.  A
+timeout, a response line longer than ``MAX_RESPONSE_BYTES`` or a dead child
+yields a program error for that trial and the child is restarted before the
+next request.  An error the child reports is a program error too, and the
+child keeps running.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
+import os
 import select
 import subprocess
 import threading
@@ -89,6 +91,8 @@ class ExternalProgram:
             )
         except OSError as exc:
             raise ConfigError(f"cannot start external program {self.command!r}: {exc}") from exc
+        # Requests are written with os.write under the call's deadline.
+        os.set_blocking(self._child.stdin.fileno(), False)
         self._buffer = bytearray()
 
     def close(self) -> None:
@@ -96,9 +100,7 @@ class ExternalProgram:
         if self._child is not None:
             self._child.kill()
             self._child.stdout.close()
-            # Flushing a pending request into a dead child's pipe fails.
-            with contextlib.suppress(OSError):
-                self._child.stdin.close()
+            self._child.stdin.close()
             self._child.wait()
             self._child = None
 
@@ -110,8 +112,22 @@ class ExternalProgram:
 
     # -- protocol -----------------------------------------------------------
 
-    def _read_line(self, deadline_timeout: float) -> bytes:
-        deadline = time.monotonic() + deadline_timeout
+    def _timed_out(self) -> ExternalProgramError:
+        return ExternalProgramError(f"external program timed out after {self.timeout}s")
+
+    def _write(self, request: bytes, deadline: float) -> None:
+        stdin = self._child.stdin.fileno()
+        view = memoryview(request)
+        while view:
+            try:
+                view = view[os.write(stdin, view):]
+            except BlockingIOError:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise self._timed_out() from None
+                select.select([], [stdin], [], remaining)
+
+    def _read_line(self, deadline: float) -> bytes:
         stdout = self._child.stdout
         buffer = self._buffer
         start = 0
@@ -119,9 +135,7 @@ class ExternalProgram:
             start = len(buffer)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise ExternalProgramError(
-                    f"external program timed out after {deadline_timeout}s"
-                )
+                raise self._timed_out()
             ready, _, _ = select.select([stdout], [], [], remaining)
             if not ready:
                 continue
@@ -146,10 +160,10 @@ class ExternalProgram:
         if self._child is None or self._child.poll() is not None:
             self.close()
             self._spawn()
+        deadline = time.monotonic() + self.timeout
         try:
-            self._child.stdin.write(request.encode("utf-8"))
-            self._child.stdin.flush()
-            line = self._read_line(self.timeout)
+            self._write(request.encode("utf-8"), deadline)
+            line = self._read_line(deadline)
             try:
                 response = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:

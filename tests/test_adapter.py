@@ -157,6 +157,15 @@ class TestExternalProgram:
                 program(datum, ctx)
             assert program(2.5, ctx) == 2.5
             assert program._child.pid == pid
+    def test_request_write_obeys_timeout_and_closes_child(self):
+        # The child never reads, so a 1 MiB request fills its input pipe.
+        with ExternalProgram(fixture_command("import time; time.sleep(5)"), timeout=0.5) as program:
+            child = program._child
+            started = time.monotonic()
+            with pytest.raises(ExternalProgramError, match="timed out after 0.5s"):
+                program("x" * 2**20, make_ctx())
+            assert time.monotonic() - started < 2.0
+            assert program._child is None and child.returncode is not None
 
     def test_malformed_response_is_program_error(self):
         with ExternalProgram(fixture_command(MALFORMED), timeout=2.0) as program:

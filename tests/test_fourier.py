@@ -213,6 +213,14 @@ class TestFourierSuite:
         assert suite.relation([1.0, 0.0], [1.0, 0.0], identity, ctx)
         assert not suite.relation([1.0, 0.0], [True, False], identity, ctx)
 
+    def test_imaginary_parts_are_judged(self):
+        # Real parts exact, imaginary parts equal to them: a violation.
+        tilted = dataclasses.replace(
+            fourier_suite(), backward=lambda x, ctx: [v * (1 + 1j) for v in idft(x)]
+        )
+        summary, _ = run_suite(tilted, SuiteConfig(iterations=200, master_seed=42))
+        assert summary.violations == 200
+
     def test_impulse_shift_property(self):
         # idft(dft(x) + c) = x + c*e0 for the correct transform.
         rng = Rng(12)
@@ -248,6 +256,19 @@ class TestBaselines:
 
     def test_differential_passes_correct(self):
         assert differential_baseline([1.0, 0.0, 1.0, 0.0]).outcome is Outcome.PASS
+
+    def test_differential_judges_imaginary_parts(self, monkeypatch):
+        # The conjugate spectrum has the FFT's real parts and no other value.
+        seq = [1.0, 2.0, 0.0, -1.0]
+        monkeypatch.setattr(
+            fourier, "dft", lambda x, variant="correct": [v.conjugate() for v in fft(x)]
+        )
+        verdict = differential_baseline(seq)
+        assert verdict.outcome is Outcome.VIOLATION
+        assert verdict.detail == (
+            f"implementations disagree at index 1: direct={fft(seq)[1].conjugate()!r} "
+            f"fft={fft(seq)[1]!r}"
+        )
 
     def test_differential_length_one_any_variant(self):
         for variant in ("correct", "coef_minus_1j"):
