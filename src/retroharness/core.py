@@ -140,9 +140,11 @@ class Verdict:
 
 
 _PASSED = Verdict(Outcome.PASS)
+# Read once: ``_execute`` would otherwise look up five enum members per trial.
+_GENERATE, _FORWARD_EXEC, _MUTATE, _BACKWARD_EXEC, _RELATION_EVAL = Stage
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MutationDescriptor:
     """Name and drawn parameters of the mutation applied to one trial."""
 
@@ -276,13 +278,17 @@ class SuiteConfig:
         suite.resolve(self.variant_id)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrialReport:
     """Verdict and full data trail of one trial.
 
     Stages that were never reached hold ``None``; the pipeline order
     guarantees ``m1_prime`` is only present when ``m2_mutated`` is, and
     ``m2_mutated`` only when ``m2`` is.
+
+    Slotted and not frozen, since a frozen ``__init__`` costs more than the
+    rest of a trial's bookkeeping: reports compare with ``==`` and copy
+    with :func:`dataclasses.replace`, but are not hashable.
     """
 
     suite: str
@@ -348,31 +354,31 @@ def _execute(
     trial_seed: int,
 ) -> TrialReport:
     forward, backward = suite.resolve(config.variant_id)
-    ctx = TrialContext(rng=Rng(trial_seed), eps=config.eps, step_cap=config.step_cap)
+    ctx = TrialContext(Rng(trial_seed), config.eps, config.step_cap)
 
     m1 = m2 = m2_mutated = m1_prime = None
     mutation: MutationDescriptor | None = None
     verdict: Verdict | None = None
 
-    stage = Stage.GENERATE
+    stage = _GENERATE
     try:
         m1 = suite.generator(ctx)
         mutator = _select_mutator(suite.mutators, ctx.rng)
 
-        stage = Stage.FORWARD_EXEC
+        stage = _FORWARD_EXEC
         m2 = forward(m1, ctx)
 
-        stage = Stage.MUTATE
+        stage = _MUTATE
         m2_mutated, parameters = mutator.apply(m2, ctx)
         mutation = MutationDescriptor(mutator.name, parameters)
         ctx.m2_mutated = m2_mutated
 
-        stage = Stage.BACKWARD_EXEC
+        stage = _BACKWARD_EXEC
         m1_prime = backward(m2_mutated, ctx)
 
-        stage = Stage.RELATION_EVAL
+        stage = _RELATION_EVAL
         if suite.relation(m1, m1_prime, mutation, ctx):
-            verdict = Verdict.passed()
+            verdict = _PASSED
         else:
             verdict = Verdict.relation_violated(m1, m1_prime)
     except Exception as exc:  # noqa: BLE001 - program failures become verdicts

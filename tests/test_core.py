@@ -13,6 +13,7 @@ from retroharness.core import (
     Stage,
     SuiteConfig,
     SuiteDefinition,
+    TrialReport,
     Variant,
     Verdict,
     derive_trial_seed,
@@ -70,36 +71,44 @@ def test_identity_mutation_is_bit_transparent():
     assert report.m2_mutated is marker
 
 
-def test_forward_failure_yields_program_error_and_skips_later_stages():
-    def broken(v, ctx):
-        raise RuntimeError("boom")
+def _raise(*args):
+    raise RuntimeError("boom")
 
-    report = run_trial(_echo_suite(forward=broken), SuiteConfig(), 0)
+
+_FAILING_AT = {
+    Stage.GENERATE: lambda: dataclasses.replace(_echo_suite(), generator=_raise),
+    Stage.FORWARD_EXEC: lambda: _echo_suite(forward=_raise),
+    Stage.MUTATE: lambda: _echo_suite(mutators=(Mutator("broken", _raise),)),
+    Stage.BACKWARD_EXEC: lambda: _echo_suite(backward=_raise),
+    Stage.RELATION_EVAL: lambda: _echo_suite(relation=_raise),
+}
+
+
+@pytest.mark.parametrize("stage", list(Stage), ids=lambda stage: stage.value)
+def test_failing_stage_is_named_and_later_fields_stay_none(stage):
+    report = run_trial(_FAILING_AT[stage](), SuiteConfig(), 0)
     assert report.verdict.outcome is Outcome.PROGRAM_ERROR
-    assert report.verdict.stage is Stage.FORWARD_EXEC
-    assert "boom" in report.verdict.detail
-    t = report
-    assert t.m1 is not None
-    assert t.m2 is None and t.m2_mutated is None and t.m1_prime is None
+    assert report.verdict.stage is stage
+    assert report.verdict.detail == "RuntimeError: boom"
+    # The data trail holds exactly the values of the stages that finished.
+    reached = list(Stage).index(stage)
+    trail = [report.m1, report.m2, report.m2_mutated, report.m1_prime]
+    assert [value is not None for value in trail] == [i < reached for i in range(4)]
+    assert (report.mutation is not None) == (stage in (Stage.BACKWARD_EXEC, Stage.RELATION_EVAL))
 
 
-def test_backward_failure_keeps_m2_but_not_m1_prime():
-    def broken(v, ctx):
-        raise ValueError("nope")
-
-    report = run_trial(_echo_suite(backward=broken), SuiteConfig(), 0)
-    assert report.verdict.stage is Stage.BACKWARD_EXEC
-    t = report
-    assert t.m2 is not None and t.m2_mutated is not None
-    assert t.m1_prime is None
-
-
-def test_relation_exception_is_relation_eval_error():
-    def bad_relation(m1, m1p, mutation, ctx):
-        raise ZeroDivisionError("relation blew up")
-
-    report = run_trial(_echo_suite(relation=bad_relation), SuiteConfig(), 0)
-    assert report.verdict.stage is Stage.RELATION_EVAL
+def test_trial_report_is_a_slotted_record_in_field_order():
+    report = run_trial(_echo_suite(), SuiteConfig(), 0)
+    # _execute builds the record positionally, so the order is part of it.
+    assert [f.name for f in dataclasses.fields(TrialReport)] == [
+        "suite", "variant_id", "trial_index", "trial_seed", "verdict",
+        "m1", "m2", "m2_mutated", "m1_prime", "mutation",
+    ]
+    assert not hasattr(report, "__dict__")
+    assert not hasattr(report.mutation, "__dict__")
+    changed = dataclasses.replace(report, m1=-1)
+    assert changed.m1 == -1 and changed != report
+    assert dataclasses.replace(changed, m1=report.m1) == report
 
 
 def test_violation_detail_renders_both_values():
