@@ -328,6 +328,12 @@ def _is_real(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _within(actual, expected, tol, kinds=(int, float)) -> bool:
+    """The numeric relations' one tolerance rule: ``actual`` is a ``kinds``
+    number, never a bool or NaN, at most ``tol`` from ``expected``."""
+    return _is_real(actual, kinds) and abs(actual - expected) <= tol
+
+
 def _check_type(name: str, value, kind: type) -> None:
     """Raise ConfigError unless ``value`` is a ``kind``; a float takes an int."""
     if not _is_real(value, (int, float) if kind is float else kind):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import Mode, Mutator, SuiteDefinition, TrialContext, Variant, _is_real
+from ..core import Mode, Mutator, SuiteDefinition, TrialContext, Variant, _is_real, _within
 
 __all__ = [
     "sine_forward_suite",
@@ -36,10 +36,10 @@ def _taylor3_sin(x: float, ctx: TrialContext) -> float:
 
 
 def _arcsin_trusted(t: float, ctx: TrialContext) -> float | None:
-    # Return None for a forward output that is not a real number, and clamp
-    # a slightly out-of-range one, so that both surface as relation
-    # violations rather than crashes of this trusted program.
-    if not _is_real(t):
+    # Return None for a forward output that is not a real number or is NaN
+    # (which the clamp would make -1), and clamp an out-of-range one, so that
+    # both surface as relation violations, not crashes of this trusted program.
+    if not _is_real(t) or t != t:
         return None
     return math.asin(min(1.0, max(-1.0, t)))
 
@@ -51,7 +51,7 @@ def sine_forward_suite() -> SuiteDefinition:
         return ctx.rng.uniform(-math.pi / 2, math.pi / 2)
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        return _is_real(x_prime) and abs(x - x_prime) <= ctx.eps * max(1.0, abs(x))
+        return _within(x_prime, x, ctx.eps * max(1.0, abs(x)))
 
     return SuiteDefinition(
         name="sine_forward",
@@ -78,7 +78,7 @@ def sine_backward_suite() -> SuiteDefinition:
         return angle + 2.0 * math.pi * k, {"k": k}
 
     def relation(t, t_prime, mutation, ctx) -> bool:
-        return _is_real(t_prime) and abs(t - t_prime) <= EPS_TRIG
+        return _within(t_prime, t, EPS_TRIG)
 
     return SuiteDefinition(
         name="sine_backward",
@@ -117,7 +117,7 @@ def reciprocal_integrated_suite() -> SuiteDefinition:
                 return x
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        return _is_real(x_prime) and abs(x - x_prime) <= ctx.eps * max(1.0, x * x)
+        return _within(x_prime, x, ctx.eps * max(1.0, x * x))
 
     return SuiteDefinition(
         name="reciprocal",

@@ -2,8 +2,8 @@
 
 Pollard's rho plays the forward program under test; trusted integer
 multiplication plays the backward program.  The relation checks that the
-returned factors multiply back to the input, and the strict profile
-additionally requires every factor to be prime.
+returned factors are integers that multiply back to the input, and the
+strict profile additionally requires every factor to be prime.
 
 The seeded bug ("gcd_x") computes the candidate divisor as
 gcd(|x - y|, x) instead of gcd(|x - y|, n).  The extracted "divisor" then
@@ -172,9 +172,9 @@ def multiply_product(factors) -> int:
 def factorization_suite(strict: bool = False) -> SuiteDefinition:
     """Forward-mode suite over n in [2, 10^12].
 
-    The plain relation checks the product alone; the strict profile also
-    requires every returned factor to be an ``int`` that passes the
-    primality test.
+    The plain relation checks that the returned factors are ``int``s whose
+    product is n; the strict profile also requires every factor to pass
+    the primality test.
     """
 
     def generate(ctx: TrialContext) -> int:
@@ -194,10 +194,10 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
         return multiply_product(factors)
 
     def relation(n, n_prime, mutation, ctx) -> bool:
-        return n_prime == n
+        return n_prime == n and all(_is_real(f, int) for f in ctx.m2_mutated)
 
     def relation_strict(n, n_prime, mutation, ctx) -> bool:
-        return n_prime == n and all(_is_real(f, int) and is_prime(f) for f in ctx.m2_mutated)
+        return relation(n, n_prime, mutation, ctx) and all(map(is_prime, ctx.m2_mutated))
 
     return SuiteDefinition(
         name="factorization_strict" if strict else "factorization",

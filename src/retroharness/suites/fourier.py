@@ -46,7 +46,7 @@ from ..core import (
     TrialContext,
     Variant,
     Verdict,
-    _is_real,
+    _within,
 )
 from ..generators import gen_real_sequence
 
@@ -137,10 +137,10 @@ def fft(x) -> list[complex]:
 
 
 def _first_miss(actual, expected, eps: float) -> int | None:
-    """Index of the first value in ``actual`` whose complex distance from its
-    expected value exceeds ``eps``, or None; NaN is never within."""
+    """Index of the first value in ``actual`` that is not a number within
+    ``eps`` of its expected value (``core._within``), or None."""
     for i, (a, e) in enumerate(zip(actual, expected)):
-        if not abs(a - e) <= eps:
+        if not _within(a, e, eps, (int, float, complex)):
             return i
     return None
 
@@ -186,8 +186,6 @@ def fourier_suite() -> SuiteDefinition:
 
     def relation(x, x_prime, mutation, ctx) -> bool:
         if not isinstance(x_prime, (list, tuple)) or len(x_prime) != len(x):
-            return False
-        if not all(_is_real(v, (int, float, complex)) for v in x_prime):
             return False
         c = mutation.parameters.get("c", 0.0)
         return _first_miss(x_prime, [x[0] + c, *x[1:]], ctx.eps) is None

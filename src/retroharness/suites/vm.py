@@ -170,8 +170,8 @@ def vm_suite() -> SuiteDefinition:
 
     The relation samples eight environments per trial and compares the
     observed behavior of the original and decompiled sources.  Decompiler
-    output that is not a string or fails to parse counts as a violation,
-    since unparsable source is observable misbehavior.
+    output that is not a string or fails to parse (nested too deep included)
+    is a violation, since unparsable source is observable misbehavior.
     """
 
     def generate(ctx: TrialContext) -> str:
@@ -192,7 +192,7 @@ def vm_suite() -> SuiteDefinition:
         original = parse_infix(src)
         try:
             returned = parse_infix(src_prime)
-        except ExprSyntaxError:
+        except (ExprSyntaxError, RecursionError):
             return False
         names = sorted(variables(original) | variables(returned))
         for _ in range(ENVS_PER_TRIAL):

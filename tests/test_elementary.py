@@ -31,6 +31,13 @@ class TestSineForward:
         assert report.verdict.outcome is Outcome.VIOLATION
         assert abs(report.m1_prime - math.pi / 2) < 1e-12
 
+    def test_nan_forward_fails_at_minus_half_pi(self, force_input):
+        # max(-1.0, nan) is -1.0, so a clamped NaN would read as sin(-pi/2).
+        suite = dataclasses.replace(sine_forward_suite(), forward=lambda x, ctx: math.nan)
+        report = force_input(suite, -math.pi / 2)
+        assert report.m1_prime is None
+        assert report.verdict.outcome is Outcome.VIOLATION
+
     def test_correct_variant_holds_across_domain(self):
         summary, _ = run_suite(sine_forward_suite(), SuiteConfig(iterations=10_000))
         assert summary.violations == 0

@@ -389,6 +389,13 @@ class TestFactorizationSuite:
         assert report.m1_prime == n
         assert report.verdict.outcome is Outcome.VIOLATION
 
+    def test_plain_profile_rejects_float_factors(self, force_input):
+        # 2.0 * 3.0 == 6, so only the factor type tells this from [2, 3].
+        suite = dataclasses.replace(factorization_suite(), forward=lambda value, ctx: [2.0, 3.0])
+        report = force_input(suite, 6)
+        assert report.m1_prime == 6
+        assert report.verdict.outcome is Outcome.VIOLATION
+
     def test_strict_correct_clean_over_300(self):
         summary, _ = run_suite(
             factorization_suite(strict=True), SuiteConfig(iterations=300)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -250,6 +251,13 @@ class TestVmSuite:
 
     def test_unparsable_source_is_violation(self, force_input):
         suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: "1+")
+        report = force_input(suite, "(1+2)*4")
+        assert report.verdict.outcome is Outcome.VIOLATION
+
+    def test_source_nested_past_the_recursion_limit_is_violation(self, force_input):
+        depth = sys.getrecursionlimit()
+        deep = "(" * depth + "a" + ")" * depth
+        suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: deep)
         report = force_input(suite, "(1+2)*4")
         assert report.verdict.outcome is Outcome.VIOLATION
 
