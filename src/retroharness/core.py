@@ -84,7 +84,7 @@ def relation_detail(m1_repr: str, m1_prime_repr: str) -> str:
     return f"relation violated: m1={m1_repr} m1_prime={m1_prime_repr}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Verdict:
     """Result of one trial: exactly one of pass / violation / program error.
 
@@ -331,7 +331,14 @@ def _is_real(value, kinds=(int, float)) -> bool:
 def _within(actual, expected, tol, kinds=(int, float)) -> bool:
     """The numeric relations' one tolerance rule: ``actual`` is a ``kinds``
     number, never a bool or NaN, at most ``tol`` from ``expected``."""
-    return _is_real(actual, kinds) and abs(actual - expected) <= tol
+    if not _is_real(actual, kinds):
+        return False
+    try:
+        return abs(actual - expected) <= tol
+    except OverflowError:
+        # An int past float range, or a residual whose modulus overflows a
+        # float, counts as out of tolerance.
+        return False
 
 
 def _check_type(name: str, value, kind: type) -> None:

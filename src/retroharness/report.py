@@ -14,6 +14,8 @@ from .core import SuiteDefinition, SuiteSummary, TrialReport, relation_detail
 __all__ = ["SCHEMA_VERSION", "trial_record", "render_records", "write_report", "read_records"]
 
 SCHEMA_VERSION = 1
+# Records rendered per write: the writer holds one batch of text at a time.
+_BATCH = 256
 
 
 def trial_record(report: TrialReport, suite: SuiteDefinition) -> dict[str, Any]:
@@ -53,7 +55,8 @@ def render_records(reports: list[TrialReport], suite: SuiteDefinition) -> str:
 
 def write_report(path: str, reports: list[TrialReport], suite: SuiteDefinition) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_records(reports, suite))
+        for start in range(0, len(reports), _BATCH):
+            fh.write(render_records(reports[start:start + _BATCH], suite))
 
 
 def read_records(path: str) -> list[dict[str, Any]]:

@@ -49,7 +49,7 @@ _OP_MNEMONIC = {op: mnemonic for mnemonic, op in _BINARY_OPS.items()}
 ENVS_PER_TRIAL = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instr:
     """One stack-machine instruction: PUSH k, LOAD v, ADD, SUB, MUL, DIV."""
 

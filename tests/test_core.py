@@ -98,17 +98,22 @@ def test_failing_stage_is_named_and_later_fields_stay_none(stage):
 
 
 def test_trial_report_is_a_slotted_record_in_field_order():
-    report = run_trial(_echo_suite(), SuiteConfig(), 0)
     # _execute builds the record positionally, so the order is part of it.
     assert [f.name for f in dataclasses.fields(TrialReport)] == [
         "suite", "variant_id", "trial_index", "trial_seed", "verdict",
         "m1", "m2", "m2_mutated", "m1_prime", "mutation",
     ]
-    assert not hasattr(report, "__dict__")
-    assert not hasattr(report.mutation, "__dict__")
-    changed = dataclasses.replace(report, m1=-1)
-    assert changed.m1 == -1 and changed != report
-    assert dataclasses.replace(changed, m1=report.m1) == report
+    passed = run_trial(_echo_suite(), SuiteConfig(), 0)
+    # A violation keeps its own verdict, and vm keeps its instructions.
+    violated = run_trial(get_suite("vm"), SuiteConfig(variant_id="swap_sub"), 0)
+    assert violated.verdict.outcome is Outcome.VIOLATION
+    for report in (passed, violated):
+        kept = [report, report.mutation, report.verdict]
+        kept += report.m2 if isinstance(report.m2, list) else []
+        assert not any(hasattr(value, "__dict__") for value in kept)
+        changed = dataclasses.replace(report, m1=-1)
+        assert changed.m1 == -1 and changed != report
+        assert dataclasses.replace(changed, m1=report.m1) == report
 
 
 def test_violation_detail_renders_both_values():

@@ -1,14 +1,22 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from retroharness import cli
 from retroharness.cli import main
 from retroharness.core import SuiteConfig, get_suite, run_suite
-from retroharness.report import SCHEMA_VERSION, read_records, render_records
+from retroharness.report import (
+    _BATCH,
+    SCHEMA_VERSION,
+    read_records,
+    render_records,
+    write_report,
+)
 
 EXPECTED_SUITES = {
     "fourier",
@@ -56,6 +64,36 @@ class TestReportRecords:
         _, first = run_suite(suite, cfg)
         _, second = run_suite(suite, cfg)
         assert render_records(first, suite) == render_records(second, suite)
+
+    @pytest.mark.parametrize("count", [0, 1, _BATCH, _BATCH + 1, _BATCH * 5 // 2])
+    def test_batched_write_matches_one_render(self, tmp_path, count):
+        suite = get_suite("reciprocal")
+        _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH * 5 // 2, variant_id="off_by_eps"))
+        path = tmp_path / "out.jsonl"
+        write_report(str(path), reports[:count], suite)
+        assert path.read_bytes() == render_records(reports[:count], suite).encode("utf-8")
+
+    def test_write_holds_one_batch_of_text(self, tmp_path):
+        suite = get_suite("reciprocal")
+        _, reports = run_suite(suite, SuiteConfig(iterations=5000, variant_id="off_by_eps"))
+        size = len(render_records(reports, suite).encode("utf-8"))
+        tracemalloc.start()
+        try:
+            write_report(str(tmp_path / "out.jsonl"), reports, suite)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4
+
+    def test_unrepresentable_record_keeps_the_batches_before_it(self, tmp_path):
+        suite = get_suite("reciprocal")
+        _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH * 2))
+        # An int past Python's 4,300-digit str limit cannot be repr'd.
+        reports[_BATCH + 1] = dataclasses.replace(reports[_BATCH + 1], m1=10**5000)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError):
+            write_report(str(path), reports, suite)
+        assert path.read_bytes() == render_records(reports[:_BATCH], suite).encode("utf-8")
 
 
 class TestCliList:

@@ -59,6 +59,7 @@ CASES = {
     "none": (lambda x, tol: None, False),
     "str": (lambda x, tol: str(x), False),
     "complex": (lambda x, tol: complex(x), None),
+    "int_past_float_range": (lambda x, tol: 10**400, False),
 }
 
 
