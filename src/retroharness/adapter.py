@@ -166,7 +166,9 @@ class ExternalProgram:
             line = self._read_line(deadline)
             try:
                 response = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # Bad UTF-8, bad JSON, an int past the digit limit, or
+                # nesting past the recursion limit.
                 raise ExternalProgramError(f"malformed response line of {_echo(line)}") from exc
             if not isinstance(response, dict) or response.get("id") != request_id:
                 raise ExternalProgramError(

@@ -84,6 +84,14 @@ APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": trunc_div
 OPERATORS = "".join(APPLY)
 
 
+# Digit and variable leaves by their one-character spelling.  Nodes are
+# frozen, so every parse shares these.
+_LEAVES = {
+    **{digit: Const(int(digit)) for digit in "0123456789"},
+    **{name: Var(name) for name in VARIABLES},
+}
+
+
 class _Parser:
     """Precedence climbing over ``_PRECEDENCE``; every operator is left
     associative, and a factor is a digit, a variable or a parenthesized expr."""
@@ -91,9 +99,6 @@ class _Parser:
     def __init__(self, src: str) -> None:
         self.src = src
         self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.src[self.pos] if self.pos < len(self.src) else None
 
     def parse(self) -> ExprNode:
         node = self.expr()
@@ -103,32 +108,32 @@ class _Parser:
 
     def expr(self, min_prec: int = 1) -> ExprNode:
         node = self.factor()
-        while True:
-            op = self.peek()
+        src = self.src
+        while self.pos < len(src):
+            op = src[self.pos]
             prec = _PRECEDENCE.get(op, 0)
             if prec < min_prec:
-                return node
+                break
             self.pos += 1
             node = BinOp(op, node, self.expr(prec + 1))
+        return node
 
     def factor(self) -> ExprNode:
-        ch = self.peek()
-        if ch is None:
-            raise ExprSyntaxError("unexpected end of input", self.pos)
+        src, pos = self.src, self.pos
+        if pos == len(src):
+            raise ExprSyntaxError("unexpected end of input", pos)
+        ch = src[pos]
+        self.pos = pos + 1
+        leaf = _LEAVES.get(ch)
+        if leaf is not None:
+            return leaf
         if ch == "(":
-            self.pos += 1
             node = self.expr()
-            if self.peek() != ")":
+            if src[self.pos : self.pos + 1] != ")":
                 raise ExprSyntaxError("expected ')'", self.pos)
             self.pos += 1
             return node
-        if ch in "0123456789":
-            self.pos += 1
-            return Const(int(ch))
-        if ch in VARIABLES:
-            self.pos += 1
-            return Var(ch)
-        raise ExprSyntaxError(f"unexpected {ch!r}", self.pos)
+        raise ExprSyntaxError(f"unexpected {ch!r}", pos)
 
 
 def parse_infix(src: str) -> ExprNode:

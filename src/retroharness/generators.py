@@ -81,14 +81,30 @@ def gen_real_sequence(
     """Random-length list of uniform reals.
 
     Length is uniform in [min_len, max_len], each element uniform in
-    [lo, hi).
+    [lo, hi).  The elements are the stream's next ``length`` draws of
+    ``rng.uniform(lo, hi)``, bit for bit, computed in one numpy pass: draw
+    i mixes ``state + i * gamma``.  numpy is imported at the first call.
     """
     if min_len < 1 or min_len > max_len:
         raise ValueError(f"invalid length range [{min_len}, {max_len}]")
     if not lo < hi:
         raise ValueError(f"invalid value range [{lo}, {hi})")
     length = rng.randint(min_len, max_len)
-    return [rng.uniform(lo, hi) for _ in range(length)]
+    import numpy as np
+
+    # _mix64 of state + i * gamma for i = 1..length, in place.  Array
+    # arithmetic wraps modulo 2**64 as _mix64's masks do; numpy scalars
+    # would warn on the overflow instead.
+    z = np.arange(1, length + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += rng._state
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    rng._state = (rng._state + _GAMMA * length) & _MASK64
+    return (lo + (hi - lo) * ((z >> 11) * 2.0**-53)).tolist()
 
 
 def gen_integer(rng: Rng, lo: int = 2, hi: int = 10**12) -> int:

@@ -90,6 +90,21 @@ for line in sys.stdin:
         print(json.dumps({"id": req["id"], "data": req["data"]}), flush=True)
 """
 
+# Answers "digits" with a 5,000-digit integer and "nested" with an array
+# nested 100,000 deep, both valid JSON that json.loads refuses; echoes
+# anything else.
+UNDECODABLE = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["data"] == "digits":
+        print('{"id": %d, "data": %s}' % (req["id"], "7" * 5000), flush=True)
+    elif req["data"] == "nested":
+        print('{"id": %d, "data": %s}' % (req["id"], "[" * 10**5 + "]" * 10**5), flush=True)
+    else:
+        print(json.dumps({"id": req["id"], "data": req["data"]}), flush=True)
+"""
+
 
 def fixture_command(body: str) -> list[str]:
     return [sys.executable, "-u", "-c", body]
@@ -171,6 +186,16 @@ class TestExternalProgram:
         with ExternalProgram(fixture_command(MALFORMED), timeout=2.0) as program:
             with pytest.raises(ExternalProgramError):
                 program(1, make_ctx())
+
+    @pytest.mark.parametrize("datum", ["digits", "nested"])
+    def test_undecodable_response_is_program_error_and_child_replaced(self, datum):
+        with ExternalProgram(fixture_command(UNDECODABLE), timeout=10.0) as program:
+            ctx = make_ctx()
+            pid = program._child.pid
+            with pytest.raises(ExternalProgramError, match="malformed response line of"):
+                program(datum, ctx)
+            assert program("ok", ctx) == "ok"
+            assert program._child.pid != pid
 
     @pytest.mark.parametrize("body, message", [
         (WRONG_ID, "does not match request id"),

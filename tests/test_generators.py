@@ -62,6 +62,19 @@ def test_gen_real_sequence_reproducible_and_bounded():
     assert 1 <= len(first) <= 16
 
 
+@pytest.mark.parametrize("value_range", [(), (-3.5, 7.25)], ids=["default", "offset"])
+def test_gen_real_sequence_equals_the_scalar_draws(value_range):
+    # The bulk pass must equal drawing the length, then each element with
+    # rng.uniform, and leave the stream where that loop leaves it.
+    lo, hi = value_range or (-1.0, 1.0)
+    for seed in range(20_000):
+        bulk, scalar = Rng(seed), Rng(seed)
+        values = gen_real_sequence(bulk, 1, 64, *value_range)
+        expected = [scalar.uniform(lo, hi) for _ in range(scalar.randint(1, 64))]
+        assert values == expected, seed
+        assert bulk._state == scalar._state, seed
+
+
 def test_gen_integer_degenerate_and_bounds():
     rng = Rng(3)
     assert gen_integer(rng, 12, 12) == 12

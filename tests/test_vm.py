@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
+import itertools
 import sys
 
 import pytest
 
-from retroharness.core import Outcome, SuiteConfig, run_suite
+from retroharness.core import Outcome, SuiteConfig, Variant, run_suite
 from retroharness.expr import (
     BinOp,
     Const,
@@ -69,6 +71,25 @@ class TestParsePrint:
             parse_infix(src)
         assert str(err.value) == f"{message} at position {position}"
         assert err.value.position == position
+
+    def test_whole_behaviour_on_short_strings_is_pinned(self):
+        # Every string of up to five characters over this alphabet, parsed to
+        # a tree repr or to an error's text and position.  A rewrite of the
+        # parser must leave every tree and every error as it is.
+        def behaviour(src):
+            try:
+                return repr(parse_infix(src))
+            except ExprSyntaxError as exc:
+                return f"error {exc} {exc.position}"
+
+        lines = [
+            behaviour("".join(chars))
+            for length in range(6)
+            for chars in itertools.product("1a+-*/() ", repeat=length)
+        ]
+        assert len(lines) == 66_430
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == "61cbc6a21f9d4534a76c15870791ca4a7476000c1a1e1a2ee97145c4e3003545"
 
     def test_print_known_trees(self):
         assert print_infix(BinOp("*", BinOp("+", Const(1), Const(2)), Const(4))) == "(1+2)*4"
@@ -265,6 +286,42 @@ class TestVmSuite:
         suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: "²")
         report = force_input(suite, "(1+2)*4")
         assert report.verdict.outcome is Outcome.VIOLATION
+
+    @pytest.mark.parametrize("variant", ["correct", "swap_sub"])
+    def test_identical_source_skips_sampling_without_changing_a_verdict(self, variant):
+        # "(" + src + ")" parses to the same tree but is not the same text,
+        # so it takes the sampled path every time.
+        suite = vm_suite()
+        backward = suite.variants[variant].backward or suite.backward
+        respelled = dataclasses.replace(suite, variants={
+            **suite.variants,
+            variant: Variant(backward=lambda code, ctx: "(" + backward(code, ctx) + ")"),
+        })
+        config = SuiteConfig(iterations=2000, master_seed=5, variant_id=variant)
+        fast, reports = run_suite(suite, config)
+        _, sampled = run_suite(respelled, config)
+        assert [r.verdict.outcome for r in reports] == [r.verdict.outcome for r in sampled]
+        assert fast.passes > 0 and fast.program_errors == 0
+        assert (fast.violations > 0) == (variant == "swap_sub")
+
+    def test_str_subclass_equal_to_everything_is_still_sampled(self):
+        class EqualToAll(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                return True
+
+        suite = vm_suite()
+        flattering = dataclasses.replace(
+            suite, backward=lambda code, ctx: EqualToAll(decompile(code, "swap_sub"))
+        )
+        config = SuiteConfig(iterations=500, master_seed=5)
+        plain, reports = run_suite(suite, dataclasses.replace(config, variant_id="swap_sub"))
+        flattered, flattered_reports = run_suite(flattering, config)
+        assert plain.violations > 0
+        assert [r.verdict.outcome for r in flattered_reports] == [
+            r.verdict.outcome for r in reports
+        ]
 
     def test_correct_variant_clean_over_1000(self):
         summary, _ = run_suite(vm_suite(), SuiteConfig(iterations=1000))
