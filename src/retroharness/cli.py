@@ -16,6 +16,7 @@ import sys
 
 from .core import (
     ConfigError, SuiteConfig, _check_type, get_suite, list_suites, replay_trial, run_suite,
+    safe_repr,
 )
 from .report import summary_lines, write_report
 
@@ -119,12 +120,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _print_transcript(report, suite) -> None:
     print(f"suite: {report.suite}  variant: {report.variant_id}  mode: {suite.mode.value}")
     print(f"trial_seed: {report.trial_seed}")
-    print(f"m1:         {report.m1!r}")
-    print(f"m2:         {report.m2!r}")
-    print(f"m2_mutated: {report.m2_mutated!r}")
-    print(f"m1_prime:   {report.m1_prime!r}")
+    print(f"m1:         {safe_repr(report.m1)}")
+    print(f"m2:         {safe_repr(report.m2)}")
+    print(f"m2_mutated: {safe_repr(report.m2_mutated)}")
+    print(f"m1_prime:   {safe_repr(report.m1_prime)}")
     if report.mutation is not None:
-        print(f"mutation:   {report.mutation.name} {dict(report.mutation.parameters)!r}")
+        print(f"mutation:   {report.mutation.name} {safe_repr(dict(report.mutation.parameters))}")
     else:
         print("mutation:   (not reached)")
     verdict = report.verdict

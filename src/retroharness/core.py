@@ -30,6 +30,7 @@ __all__ = [
     "Outcome",
     "Verdict",
     "relation_detail",
+    "safe_repr",
     "MutationDescriptor",
     "Mutator",
     "IDENTITY_MUTATOR",
@@ -84,6 +85,16 @@ def relation_detail(m1_repr: str, m1_prime_repr: str) -> str:
     return f"relation violated: m1={m1_repr} m1_prime={m1_prime_repr}"
 
 
+def safe_repr(value: Any) -> str:
+    """``repr(value)``, or a placeholder naming only the exception's type
+    when that repr raises (an int past Python's 4,300-digit limit, a list
+    nested past the recursion limit, a user ``__repr__`` that fails)."""
+    try:
+        return repr(value)
+    except Exception as exc:  # noqa: BLE001 - any failing repr gets the placeholder
+        return f"<repr raised {type(exc).__name__}>"
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Verdict:
     """Result of one trial: exactly one of pass / violation / program error.
@@ -91,7 +102,8 @@ class Verdict:
     A program error records the stage that failed.  A relation violation
     keeps the original and round-tripped data as ``violated_pair`` and
     renders them into ``detail`` only when it is read, so a run that never
-    reads a detail never pays for two reprs.  Verdicts compare and hash by
+    reads a detail never pays for two reprs; a value whose repr raises reads
+    as :func:`safe_repr`'s placeholder.  Verdicts compare and hash by
     outcome, stage and detail text.
     """
 
@@ -121,7 +133,7 @@ class Verdict:
         if self.violated_pair is None:
             return self.message
         m1, m1_prime = self.violated_pair
-        return relation_detail(repr(m1), repr(m1_prime))
+        return relation_detail(safe_repr(m1), safe_repr(m1_prime))
 
     @property
     def is_pass(self) -> bool:

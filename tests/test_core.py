@@ -22,6 +22,7 @@ from retroharness.core import (
     replay_trial,
     run_suite,
     run_trial,
+    safe_repr,
 )
 from retroharness.report import render_records
 
@@ -196,20 +197,48 @@ class TestLazyViolationDetail:
         assert record["verdict"]["detail"] == report.verdict.detail
         assert record["m1_repr"] == record["m1_prime_repr"] == ""
 
-    def test_unrepresentable_value_is_a_violation_that_raises_on_read(self):
-        # An int past Python's 4,300-digit str limit cannot be repr'd.  The
-        # relation decided the verdict; the error shows where text is read.
+    @pytest.mark.parametrize(
+        "make_value,error",
+        [
+            # An int past Python's 4,300-digit str limit.
+            (lambda: 10**5000, "ValueError"),
+            (lambda: _RaisingRepr(), "RuntimeError"),
+            (lambda: _nested_list(100_000), "RecursionError"),
+        ],
+        ids=["huge_int", "raising_repr", "deep_list"],
+    )
+    def test_unrepresentable_value_reads_as_placeholder(self, make_value, error):
+        # The relation decided the verdict; where the value's text is read,
+        # a placeholder naming the exception's type stands in for its repr.
+        value = make_value()
         suite = _echo_suite(
-            backward=lambda v, ctx: 10**5000,
+            backward=lambda v, ctx: value,
             relation=lambda m1, m1p, mutation, ctx: m1 == m1p,
         )
         report = run_trial(suite, SuiteConfig(), 0)
         assert report.verdict.outcome is Outcome.VIOLATION
         assert report.verdict.stage is None
-        with pytest.raises(ValueError):
-            report.verdict.detail
-        with pytest.raises(ValueError):
-            render_records([report], suite)
+        placeholder = f"<repr raised {error}>"
+        assert safe_repr(value) == placeholder
+        detail = f"relation violated: m1={report.m1!r} m1_prime={placeholder}"
+        assert report.verdict.detail == detail
+        assert report.verdict == Verdict.violation(detail)
+        assert hash(report.verdict) == hash(Verdict.violation(detail))
+        record = json.loads(render_records([report], suite))
+        assert record["verdict"]["detail"] == detail
+        assert record["m1_prime_repr"] == placeholder
+
+
+class _RaisingRepr:
+    def __repr__(self):
+        raise RuntimeError("this message is not part of the placeholder")
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def test_passed_verdict_is_one_shared_instance():

@@ -1,18 +1,24 @@
 """Golden JSONL report bytes for every registered suite and variant.
 
 Each entry is the SHA-256 of ``render_records`` for a 200-trial run at
-master seed 42.  ``gcd_x`` runs at the README's step cap of 10 000, where
+master seed 42.  The same hash holds for the two other byte paths: the
+records re-serialized one at a time from ``trial_record`` (the path an
+output gate that hashes record by record takes) and the file that
+``retroharness run --report`` writes.  ``gcd_x`` runs at the README's step cap of 10 000, where
 its verdict counts match the default cap's.  A change that alters any
 record byte (verdict, rendering, random stream or key order) shows here;
 one that only restructures the code does not.
 """
 
+import functools
 import hashlib
+import json
 
 import pytest
 
+from retroharness import cli
 from retroharness.core import SuiteConfig, get_suite, list_suites, run_suite
-from retroharness.report import render_records
+from retroharness.report import render_records, trial_record
 
 # The numpy the fourier hashes were made with, and the one CI pins: fourier
 # records carry the last bits of numpy's exp and matmul.
@@ -43,14 +49,42 @@ def test_golden_table_covers_every_registered_pair():
     assert registered == set(GOLDEN_SHA256)
 
 
+def _extra(variant):
+    return {"step_cap": 10_000} if variant == "gcd_x" else {}
+
+
+@functools.cache
+def _golden_run(suite_name, variant):
+    suite = get_suite(suite_name)
+    config = SuiteConfig(iterations=200, master_seed=42, variant_id=variant, **_extra(variant))
+    return suite, run_suite(suite, config)[1]
+
+
+def _check(text, suite_name, variant):
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SHA256[(suite_name, variant)], _mismatch_note(suite_name)
+
+
 @pytest.mark.parametrize("suite_name,variant", sorted(GOLDEN_SHA256))
 def test_report_bytes_match_golden_hash(suite_name, variant):
-    suite = get_suite(suite_name)
-    extra = {"step_cap": 10_000} if variant == "gcd_x" else {}
-    config = SuiteConfig(iterations=200, master_seed=42, variant_id=variant, **extra)
-    _, reports = run_suite(suite, config)
-    digest = hashlib.sha256(render_records(reports, suite).encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_SHA256[(suite_name, variant)], _mismatch_note(suite_name)
+    suite, reports = _golden_run(suite_name, variant)
+    _check(render_records(reports, suite), suite_name, variant)
+
+
+@pytest.mark.parametrize("suite_name,variant", sorted(GOLDEN_SHA256))
+def test_trial_records_dump_to_golden_bytes(suite_name, variant):
+    suite, reports = _golden_run(suite_name, variant)
+    _check("".join(json.dumps(trial_record(r, suite)) + "\n" for r in reports), suite_name, variant)
+
+
+@pytest.mark.parametrize("suite_name,variant", sorted(GOLDEN_SHA256))
+def test_cli_report_file_matches_golden_hash(suite_name, variant, tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    argv = ["run", "--suite", suite_name, "--variant", variant, "--iterations", "200",
+            "--seed", "42", "--report", str(path)]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in _extra(variant).items()]
+    cli.main(argv)
+    _check(path.read_bytes().decode("utf-8"), suite_name, variant)
 
 
 def _mismatch_note(suite_name):

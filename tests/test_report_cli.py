@@ -6,15 +6,29 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from retroharness import cli
+from retroharness import cli, core, report
 from retroharness.cli import main
-from retroharness.core import SuiteConfig, get_suite, run_suite
+from retroharness.core import (
+    Mode,
+    MutationDescriptor,
+    Stage,
+    SuiteConfig,
+    SuiteDefinition,
+    TrialReport,
+    Verdict,
+    get_suite,
+    run_suite,
+    safe_repr,
+)
 from retroharness.report import (
     _BATCH,
     SCHEMA_VERSION,
     read_records,
     render_records,
+    trial_record,
     write_report,
 )
 
@@ -85,15 +99,152 @@ class TestReportRecords:
             tracemalloc.stop()
         assert peak < size / 4
 
-    def test_unrepresentable_record_keeps_the_batches_before_it(self, tmp_path):
+    def test_unrepresentable_record_is_written_with_a_placeholder(self, tmp_path):
         suite = get_suite("reciprocal")
         _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH * 2))
         # An int past Python's 4,300-digit str limit cannot be repr'd.
         reports[_BATCH + 1] = dataclasses.replace(reports[_BATCH + 1], m1=10**5000)
         path = tmp_path / "out.jsonl"
-        with pytest.raises(ValueError):
-            write_report(str(path), reports, suite)
-        assert path.read_bytes() == render_records(reports[:_BATCH], suite).encode("utf-8")
+        write_report(str(path), reports, suite)
+        records = read_records(str(path))
+        assert len(records) == _BATCH * 2
+        assert records[_BATCH + 1]["m1_repr"] == "<repr raised ValueError>"
+        assert path.read_bytes() == render_records(reports, suite).encode("utf-8")
+
+    def test_write_report_renders_through_the_module_global(self, tmp_path, monkeypatch):
+        # A traced run times rendering by replacing report.render_records.
+        suite = get_suite("reciprocal")
+        _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH + 1))
+        calls = []
+
+        def tagged(batch, suite):
+            calls.append(len(batch))
+            return "batch\n"
+
+        monkeypatch.setattr(report, "render_records", tagged)
+        path = tmp_path / "out.jsonl"
+        write_report(str(path), reports, suite)
+        assert calls == [_BATCH, 1]
+        assert path.read_text() == "batch\nbatch\n"
+
+
+# Text that JSON must escape: non-ASCII, quotes, backslashes, control
+# characters and lone surrogates.
+texts = st.text(
+    st.one_of(
+        st.characters(codec=None, categories=None, exclude_categories=()),
+        st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'),
+    ),
+    max_size=12,
+)
+special_numbers = st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 2**64, -(2**64) - 1, 3**80]
+)
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(),
+        st.integers(min_value=-(2**100), max_value=2**100),
+        special_numbers,
+        texts,
+    ),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts, children, max_size=3),
+    max_leaves=8,
+)
+parameter_keys = st.one_of(
+    texts, st.integers(min_value=-(2**70), max_value=2**70), st.floats(), st.booleans(), st.none()
+)
+
+
+class _RaisingRepr:
+    def __repr__(self):
+        raise RuntimeError("no text")
+
+
+datums = st.one_of(st.none(), json_values, st.builds(_RaisingRepr))
+
+
+@st.composite
+def verdicts(draw, m1, m1_prime):
+    kind = draw(st.sampled_from(["pass", "own_pair", "foreign_pair", "message", "error"]))
+    if kind == "pass":
+        return Verdict.passed()
+    if kind == "own_pair":
+        return Verdict.relation_violated(m1, m1_prime)
+    if kind == "foreign_pair":
+        return Verdict.relation_violated(draw(datums), draw(datums))
+    if kind == "message":
+        return Verdict.violation(draw(texts))
+    return Verdict.program_error(draw(st.sampled_from(list(Stage))), draw(texts))
+
+
+@st.composite
+def report_lists(draw):
+    # Reports draw their names from a small shared pool, so runs of one
+    # (suite, variant) pair alternate with changes of pair.
+    suites = draw(st.lists(texts, min_size=1, max_size=2))
+    variants = draw(st.lists(texts, min_size=1, max_size=2))
+    reports = []
+    for _ in range(draw(st.integers(1, 4))):
+        m1, m1_prime = draw(datums), draw(datums)
+        mutation = draw(st.none() | st.builds(
+            MutationDescriptor, texts, st.dictionaries(parameter_keys, json_values, max_size=3)
+        ))
+        reports.append(TrialReport(
+            draw(st.sampled_from(suites)), draw(st.sampled_from(variants)),
+            draw(st.integers(0, 2**64)), draw(st.integers(0, 2**64 - 1)),
+            draw(verdicts(m1, m1_prime)), m1, None, None, m1_prime, mutation,
+        ))
+    return reports
+
+
+def _documented_record(report, suite):
+    """The record as README's "Report files" lists its fields."""
+    verdict = {"kind": report.verdict.outcome.value}
+    if report.verdict.stage is not None:
+        verdict["stage"] = report.verdict.stage.value
+    if report.verdict.detail:
+        verdict["detail"] = report.verdict.detail
+    mutation = report.mutation
+    return {
+        "schema_version": 1,
+        "suite": report.suite,
+        "variant": report.variant_id,
+        "trial_index": report.trial_index,
+        "trial_seed": report.trial_seed,
+        "mode": suite.mode.value,
+        "mutation": None if mutation is None else {"name": mutation.name, "parameters": mutation.parameters},
+        "verdict": verdict,
+        "m1_repr": "" if report.m1 is None else safe_repr(report.m1),
+        "m1_prime_repr": "" if report.m1_prime is None else safe_repr(report.m1_prime),
+    }
+
+
+def _names_collide(parameters):
+    """Whether two keys share one JSON object name ("1" and 1, say)."""
+    return len({json.dumps({key: 0}) for key in parameters}) < len(parameters)
+
+
+class TestRenderedLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(report_lists(), st.sampled_from(list(Mode)))
+    def test_lines_are_the_documented_records(self, reports, mode):
+        suite = dataclasses.replace(get_suite("reciprocal"), mode=mode)
+        expected = [json.dumps(_documented_record(r, suite)) + "\n" for r in reports]
+        assert render_records(reports, suite) == "".join(expected)
+        for r, line in zip(reports, expected):
+            if r.mutation is None or not _names_collide(r.mutation.parameters):
+                assert json.dumps(trial_record(r, suite)) + "\n" == line
+
+    def test_colliding_parameter_names_keep_the_last_in_the_record(self):
+        # json.dumps writes both names; parsing the line keeps the last value.
+        suite = get_suite("reciprocal")
+        mutation = MutationDescriptor("m", {1: "int key", "1": "str key"})
+        r = TrialReport("s", "v", 0, 0, Verdict.passed(), mutation=mutation)
+        line = render_records([r], suite)
+        assert '"parameters": {"1": "int key", "1": "str key"}' in line
+        assert trial_record(r, suite)["mutation"]["parameters"] == {"1": "str key"}
 
 
 class TestCliList:
@@ -117,6 +268,28 @@ class TestCliList:
         assert modes["sine_forward"] == "forward"
         assert modes["sine_backward"] == "backward"
         assert modes["reciprocal"] == "integrated"
+
+
+def _huge_on_every_seventh(value, ctx):
+    # An int past Python's 4,300-digit str limit cannot be repr'd.
+    return 10**5000 if value % 7 == 0 else value
+
+
+HUGE_ECHO = SuiteDefinition(
+    name="huge_echo",
+    mode=Mode.INTEGRATED,
+    generator=lambda ctx: ctx.rng.randint(0, 100),
+    forward=lambda v, ctx: v,
+    backward=_huge_on_every_seventh,
+    relation=lambda m1, m1p, mutation, ctx: m1 == m1p,
+)
+
+
+@pytest.fixture
+def huge_echo(monkeypatch):
+    """HUGE_ECHO, registered for one test only."""
+    monkeypatch.setitem(core._REGISTRY, HUGE_ECHO.name, HUGE_ECHO)
+    return HUGE_ECHO
 
 
 class TestCliRun:
@@ -185,6 +358,27 @@ class TestCliRun:
         path = tmp_path / "out.jsonl"
         assert main(["run", "--suite", "reciprocal", "--iterations", "0", "--report", str(path)]) == 2
         assert not path.exists()
+
+    def test_unrepresentable_values_are_reported_and_summarised(self, tmp_path, capsys, huge_echo):
+        path = tmp_path / "out.jsonl"
+        code = main(["run", "--suite", "huge_echo", "--iterations", "600", "--report", str(path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        records = read_records(str(path))
+        assert len(records) == 600
+        placeholders = [r for r in records if r["m1_prime_repr"] == "<repr raised ValueError>"]
+        assert 0 < len(placeholders) < 600
+        assert all(r["verdict"]["kind"] == "violation" for r in placeholders)
+        assert f"trials: 600  pass: {600 - len(placeholders)}  violation: {len(placeholders)}" in out
+
+    def test_run_hands_write_report_the_list_of_reports(self, tmp_path, capsys, monkeypatch):
+        # A traced run counts records by replacing cli.write_report.
+        received = []
+        monkeypatch.setattr(cli, "write_report", lambda path, reports, suite: received.append(reports))
+        path = tmp_path / "out.jsonl"
+        main(["run", "--suite", "reciprocal", "--iterations", "5", "--report", str(path)])
+        assert len(received) == 1
+        assert type(received[0]) is list and len(received[0]) == 5
 
     def test_report_files_byte_identical(self, tmp_path, capsys):
         args = ["run", "--suite", "vm", "--variant", "swap_sub", "--iterations", "30",
@@ -324,6 +518,17 @@ class TestCliReplay:
         assert code == 1
         assert "mutation:   (not reached)" in out
         assert "stage=forward_exec" in out
+
+    def test_replay_prints_unrepresentable_value_as_placeholder(self, tmp_path, capsys, huge_echo):
+        path = tmp_path / "r.jsonl"
+        main(["run", "--suite", "huge_echo", "--iterations", "30", "--report", str(path)])
+        failing = next(r for r in read_records(str(path)) if r["verdict"]["kind"] != "pass")
+        capsys.readouterr()
+        code = main(["replay", "--suite", "huge_echo", "--trial-seed", str(failing["trial_seed"])])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "m1_prime:   <repr raised ValueError>\n" in out
+        assert f"verdict:    violation {failing['verdict']['detail']}\n" in out
 
     def test_replay_matches_reported_failure(self, tmp_path, capsys):
         path = tmp_path / "r.jsonl"
