@@ -125,7 +125,7 @@ def _print_transcript(report, suite) -> None:
     print(f"m2_mutated: {safe_repr(report.m2_mutated)}")
     print(f"m1_prime:   {safe_repr(report.m1_prime)}")
     if report.mutation is not None:
-        print(f"mutation:   {report.mutation.name} {safe_repr(dict(report.mutation.parameters))}")
+        print(f"mutation:   {report.mutation.name} {safe_repr(report.mutation.parameters)}")
     else:
         print("mutation:   (not reached)")
     verdict = report.verdict

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
@@ -93,6 +94,25 @@ def safe_repr(value: Any) -> str:
         return repr(value)
     except Exception as exc:  # noqa: BLE001 - any failing repr gets the placeholder
         return f"<repr raised {type(exc).__name__}>"
+
+
+def _error_message(exc: BaseException) -> str:
+    """``"ExcType: message"`` of a program's exception; a message whose
+    ``str`` raises reads as ``<str raised ExcType>``, as in :func:`safe_repr`."""
+    try:
+        message = str(exc)
+    except Exception as err:  # noqa: BLE001 - any failing str gets the placeholder
+        message = f"<str raised {type(err).__name__}>"
+    return f"{type(exc).__name__}: {message}"
+
+
+def _variant(table: Mapping[str, Any], variant: str) -> Any:
+    """A kernel's entry for ``variant`` in ``table``; ValueError for an id
+    the table does not hold."""
+    try:
+        return table[variant]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown variant {variant!r}") from None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -406,8 +426,9 @@ def _execute(
             verdict = _PASSED
         else:
             verdict = Verdict.relation_violated(m1, m1_prime)
-    except Exception as exc:  # noqa: BLE001 - program failures become verdicts
-        verdict = Verdict.program_error(stage, f"{type(exc).__name__}: {exc}")
+    except (Exception, SystemExit) as exc:  # noqa: BLE001 - program failures become verdicts
+        # A program's sys.exit fails its trial; KeyboardInterrupt stops the run.
+        verdict = Verdict.program_error(stage, _error_message(exc))
 
     return TrialReport(
         suite.name, config.variant_id, trial_index, trial_seed, verdict,
@@ -450,15 +471,9 @@ def run_suite(
     config.validate(suite)
     started = time.perf_counter()
 
-    reports = []
-    counts = {Outcome.PASS: 0, Outcome.VIOLATION: 0, Outcome.PROGRAM_ERROR: 0}
-    first_failure: TrialReport | None = None
-    for index in range(config.iterations):
-        report = run_trial(suite, config, index)
-        reports.append(report)
-        counts[report.verdict.outcome] += 1
-        if first_failure is None and not report.verdict.is_pass:
-            first_failure = report
+    reports = [run_trial(suite, config, index) for index in range(config.iterations)]
+    counts = Counter(report.verdict.outcome for report in reports)
+    first_failure = next((report for report in reports if not report.verdict.is_pass), None)
 
     summary = SuiteSummary(
         suite=suite.name,

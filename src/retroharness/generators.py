@@ -30,10 +30,17 @@ POSTFIX_OPERANDS = string.ascii_lowercase + string.digits
 
 
 def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word.
+    Mixes a Python int, or a numpy uint64 array in place, whose arithmetic
+    wraps modulo 2**64 as the masks do (numpy scalars would warn instead)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 class Rng:
@@ -92,17 +99,11 @@ def gen_real_sequence(
     length = rng.randint(min_len, max_len)
     import numpy as np
 
-    # _mix64 of state + i * gamma for i = 1..length, in place.  Array
-    # arithmetic wraps modulo 2**64 as _mix64's masks do; numpy scalars
-    # would warn on the overflow instead.
+    # state + i * gamma for i = 1..length, mixed in place.
     z = np.arange(1, length + 1, dtype=np.uint64)
     z *= _GAMMA
     z += rng._state
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
+    _mix64(z)
     rng._state = (rng._state + _GAMMA * length) & _MASK64
     return (lo + (hi - lo) * ((z >> 11) * 2.0**-53)).tolist()
 

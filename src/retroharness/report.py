@@ -21,25 +21,45 @@ SCHEMA_VERSION = 1
 _BATCH = 256
 
 
-def _string(value: Any) -> str:
-    """JSON text of a field that is normally a ``str``: escaped in C when it
-    is exactly one, through ``json.dumps`` otherwise."""
-    return encode_basestring_ascii(value) if type(value) is str else dumps(value)
+# What encoding a value can raise: a type JSON lacks, an int past Python's
+# 4,300-digit limit, nesting past the recursion limit.
+_UNENCODABLE = (TypeError, ValueError, RecursionError)
 
 
-def _int(value: Any) -> str:
-    return int.__repr__(value) if type(value) is int else dumps(value)
+def _json(value: Any) -> str:
+    """JSON text of one record field: an exact ``str`` escaped in C, an
+    exact ``int`` through ``int.__repr__``, anything else through
+    ``json.dumps``.  A value that cannot be encoded is written as the JSON
+    string of its :func:`safe_repr`."""
+    try:
+        if type(value) is str:
+            return encode_basestring_ascii(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        return dumps(value)
+    except _UNENCODABLE:
+        return encode_basestring_ascii(safe_repr(value))
+
+
+def _parameters(parameters: Any) -> str:
+    """JSON object of a mutation's parameters, ``{}`` when they are empty;
+    parameters that ``dict()`` cannot convert go in as their
+    :func:`safe_repr` string."""
+    try:
+        return _json(dict(parameters)) if parameters else "{}"
+    except _UNENCODABLE:
+        return _json(safe_repr(parameters))
 
 
 def _head(report: TrialReport) -> str:
     return (
-        f'{{"schema_version": {SCHEMA_VERSION}, "suite": {_string(report.suite)}, '
-        f'"variant": {_string(report.variant_id)}, "trial_index": '
+        f'{{"schema_version": {SCHEMA_VERSION}, "suite": {_json(report.suite)}, '
+        f'"variant": {_json(report.variant_id)}, "trial_index": '
     )
 
 
 def _mode(suite: SuiteDefinition) -> str:
-    return f', "mode": {_string(suite.mode.value)}, "mutation": '
+    return f', "mode": {_json(suite.mode.value)}, "mutation": '
 
 
 def _line(report: TrialReport, head: str, mode: str) -> str:
@@ -49,16 +69,14 @@ def _line(report: TrialReport, head: str, mode: str) -> str:
     if mutation is None:
         mutation_json = "null"
     else:
-        parameters = mutation.parameters
         mutation_json = (
-            f'{{"name": {_string(mutation.name)}, '
-            f'"parameters": {dumps(dict(parameters)) if parameters else "{}"}}}'
+            f'{{"name": {_json(mutation.name)}, "parameters": {_parameters(mutation.parameters)}}}'
         )
     verdict = report.verdict
     stage = verdict.stage
-    stage_json = f', "stage": {_string(stage.value)}' if stage is not None else ""
+    stage_json = f', "stage": {_json(stage.value)}' if stage is not None else ""
     m1, m1_prime = report.m1, report.m1_prime
-    m1_json, m1_prime_json = _string(safe_repr(m1)), _string(safe_repr(m1_prime))
+    m1_json, m1_prime_json = _json(safe_repr(m1)), _json(safe_repr(m1_prime))
     pair = verdict.violated_pair
     if pair is not None and pair[0] is m1 and pair[1] is m1_prime:
         # The verdict's pair is the record's own data: its detail is made of
@@ -66,15 +84,15 @@ def _line(report: TrialReport, head: str, mode: str) -> str:
         detail_json = f', "detail": "{relation_detail(m1_json[1:-1], m1_prime_json[1:-1])}"'
     else:
         detail = verdict.detail
-        detail_json = f', "detail": {_string(detail)}' if detail else ""
+        detail_json = f', "detail": {_json(detail)}' if detail else ""
     # A missing value is named in the detail but has an empty repr field.
     if m1 is None:
         m1_json = '""'
     if m1_prime is None:
         m1_prime_json = '""'
     return (
-        f'{head}{_int(report.trial_index)}, "trial_seed": {_int(report.trial_seed)}'
-        f'{mode}{mutation_json}, "verdict": {{"kind": {_string(verdict.outcome.value)}'
+        f'{head}{_json(report.trial_index)}, "trial_seed": {_json(report.trial_seed)}'
+        f'{mode}{mutation_json}, "verdict": {{"kind": {_json(verdict.outcome.value)}'
         f'{stage_json}{detail_json}}}, "m1_repr": {m1_json}, "m1_prime_repr": {m1_prime_json}}}\n'
     )
 

@@ -25,6 +25,7 @@ from ..core import (
     TrialContext,
     Variant,
     _is_real,
+    _variant,
 )
 from ..generators import Rng, gen_integer
 
@@ -119,10 +120,8 @@ def pollards_rho(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if variant not in ("correct", "gcd_x"):
-        raise ValueError(f"unknown variant {variant!r}")
+    buggy = _variant({"correct": False, "gcd_x": True}, variant)
     budget = step_cap
-    buggy = variant == "gcd_x"
 
     def try_split(m: int) -> int:
         """One rho walk; returns a divisor d > 1 (possibly m itself).

@@ -46,6 +46,7 @@ from ..core import (
     TrialContext,
     Variant,
     Verdict,
+    _variant,
     _within,
 )
 from ..generators import gen_real_sequence
@@ -66,13 +67,6 @@ __all__ = [
 
 # Exponent coefficient per variant; the buggy one is -1j where -2j belongs.
 _COEF = {"correct": -2j, "coef_minus_1j": -1j}
-
-
-def _coef(variant: str) -> complex:
-    try:
-        return _COEF[variant]
-    except KeyError:
-        raise ValueError(f"unknown transform variant {variant!r}") from None
 
 
 # The longest sequence the suite generates; tables are kept only up to it.
@@ -111,12 +105,12 @@ def _transform(x, coef: complex) -> np.ndarray:
 
 def dft(x, variant: str = "correct") -> list[complex]:
     """Direct-summation transform; O(N^2)."""
-    return _transform(x, _coef(variant)).tolist()
+    return _transform(x, _variant(_COEF, variant)).tolist()
 
 
 def idft(x, variant: str = "correct") -> list[complex]:
     """Inverse transform: conjugated exponent and 1/N scaling."""
-    y = _transform(x, -_coef(variant))
+    y = _transform(x, -_variant(_COEF, variant))
     return (y / y.size).tolist()
 
 

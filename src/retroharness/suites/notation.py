@@ -10,7 +10,7 @@ whose tree is not mirror-symmetric is detected.
 
 from __future__ import annotations
 
-from ..core import Mode, SuiteDefinition, TrialContext, Variant
+from ..core import Mode, SuiteDefinition, TrialContext, Variant, _variant
 from ..expr import OPERATORS
 from ..generators import gen_postfix
 
@@ -51,6 +51,13 @@ def validate_prefix(s: str) -> bool:
     return validate_postfix(reversed(s))
 
 
+# Prefix item per variant; ``top`` is the operand on top of the stack.
+_TO_PREFIX = {
+    "correct": lambda op, below, top: f"{op}{below}{top}",
+    "operand_swap": lambda op, below, top: f"{op}{top}{below}",
+}
+
+
 def postfix_to_prefix(s: str, variant: str = "correct") -> str:
     """Stack conversion of a postfix string to prefix.
 
@@ -59,12 +66,7 @@ def postfix_to_prefix(s: str, variant: str = "correct") -> str:
     "operand_swap" variant emits the top operand first, swapping every
     operand pair.
     """
-    if variant not in ("correct", "operand_swap"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "operand_swap":
-        prefix = _fold(s, lambda op, below, top: f"{op}{top}{below}")
-    else:
-        prefix = _fold(s, lambda op, below, top: f"{op}{below}{top}")
+    prefix = _fold(s, _variant(_TO_PREFIX, variant))
     if prefix is None:
         raise ValueError(f"not a valid postfix expression: {s!r}")
     return prefix

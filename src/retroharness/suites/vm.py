@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from ..core import Mode, SuiteDefinition, TrialContext, Variant
+from ..core import Mode, SuiteDefinition, TrialContext, Variant, _variant
 from ..expr import (
     APPLY,
     BinOp,
@@ -115,11 +115,10 @@ def decompile(code: list[Instr], variant: str = "correct") -> str:
 
     The "swap_sub" variant reverses the operands of SUB and DIV nodes.
     """
-    if variant not in ("correct", "swap_sub"):
-        raise ValueError(f"unknown variant {variant!r}")
+    swapped = _variant({"correct": False, "swap_sub": True}, variant)
 
     def node(op: str, left: ExprNode, right: ExprNode) -> BinOp:
-        if variant == "swap_sub" and op in ("-", "/"):
+        if swapped and op in ("-", "/"):
             left, right = right, left
         return BinOp(op, left, right)
 

@@ -98,6 +98,48 @@ def test_failing_stage_is_named_and_later_fields_stay_none(stage):
     assert (report.mutation is not None) == (stage in (Stage.BACKWARD_EXEC, Stage.RELATION_EVAL))
 
 
+def test_program_calling_sys_exit_fails_its_trial():
+    suite = _echo_suite(forward=lambda v, ctx: sys.exit(0))
+    summary, reports = run_suite(suite, SuiteConfig(iterations=3))
+    assert summary.program_errors == 3
+    for report in reports:
+        assert report.verdict == Verdict.program_error(Stage.FORWARD_EXEC, "SystemExit: 0")
+
+
+def test_keyboard_interrupt_stops_the_run():
+    def interrupt(value, ctx):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(_echo_suite(backward=interrupt), SuiteConfig(iterations=3))
+
+
+class _RaisingStr(Exception):
+    def __str__(self):
+        raise RuntimeError("this message is not part of the placeholder")
+
+
+@pytest.mark.parametrize(
+    "make_error,detail",
+    [
+        # An int past Python's 4,300-digit str limit.
+        (lambda: ValueError(10**5000), "ValueError: <str raised ValueError>"),
+        (lambda: _RaisingStr(), "_RaisingStr: <str raised RuntimeError>"),
+    ],
+    ids=["huge_int", "raising_str"],
+)
+def test_program_error_text_that_raises_reads_as_placeholder(make_error, detail):
+    def fail(value, ctx):
+        raise make_error()
+
+    suite = _echo_suite(backward=fail)
+    summary, reports = run_suite(suite, SuiteConfig(iterations=2))
+    assert summary.program_errors == 2
+    assert reports[0].verdict == Verdict.program_error(Stage.BACKWARD_EXEC, detail)
+    record = json.loads(render_records(reports[:1], suite))
+    assert record["verdict"]["detail"] == detail
+
+
 def test_trial_report_is_a_slotted_record_in_field_order():
     # _execute builds the record positionally, so the order is part of it.
     assert [f.name for f in dataclasses.fields(TrialReport)] == [

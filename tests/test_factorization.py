@@ -247,7 +247,7 @@ class TestPollardsRho:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             pollards_rho(0, "correct", Rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
             pollards_rho(10, "nope", Rng(0))
 
 

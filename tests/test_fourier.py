@@ -91,7 +91,7 @@ class TestDft:
             assert_close(dft(seq), oracle_dft(seq, -2j), tol=1e-9)
 
     def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
             dft([1.0], "nope")
 
     @pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])

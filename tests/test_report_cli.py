@@ -292,6 +292,32 @@ def huge_echo(monkeypatch):
     return HUGE_ECHO
 
 
+def _registered_echo(monkeypatch, name, **programs):
+    """An echo suite registered for one test only."""
+    suite = dataclasses.replace(HUGE_ECHO, **{"name": name, "backward": lambda v, ctx: v, **programs})
+    monkeypatch.setitem(core._REGISTRY, name, suite)
+    return suite
+
+
+# Mutation parameters json.dumps or dict() cannot take, each with what the
+# record's "parameters" field and the replay transcript read for it.
+PARAMETER_SHAPES = {
+    "huge_int": ({"k": 10**5000}, "<repr raised ValueError>", "<repr raised ValueError>"),
+    "set": ({"k": {1}}, "{'k': {1}}", "{'k': {1}}"),
+    "list": ([1, 2], "[1, 2]", "[1, 2]"),
+    "none": (None, {}, "None"),
+}
+
+
+@pytest.fixture(params=list(PARAMETER_SHAPES))
+def shaped_parameters(request, monkeypatch):
+    """An echo suite whose one mutator draws the parameters of one shape."""
+    parameters, in_record, in_transcript = PARAMETER_SHAPES[request.param]
+    shaped = core.Mutator("shaped", lambda value, ctx: (value, parameters))
+    _registered_echo(monkeypatch, "shaped_echo", mutators=(shaped,))
+    return in_record, in_transcript
+
+
 class TestCliRun:
     def test_correct_run_exits_zero(self, capsys):
         code = main(["run", "--suite", "fourier", "--iterations", "50", "--seed", "42"])
@@ -370,6 +396,20 @@ class TestCliRun:
         assert 0 < len(placeholders) < 600
         assert all(r["verdict"]["kind"] == "violation" for r in placeholders)
         assert f"trials: 600  pass: {600 - len(placeholders)}  violation: {len(placeholders)}" in out
+
+    def test_program_calling_sys_exit_fails_the_run(self, capsys, monkeypatch):
+        _registered_echo(monkeypatch, "exiting", forward=lambda v, ctx: sys.exit(0))
+        code = main(["run", "--suite", "exiting", "--iterations", "5"])
+        assert code == 1
+        assert "trials: 5  pass: 0  violation: 0  program_error: 5" in capsys.readouterr().out
+
+    def test_any_mutation_parameters_are_reported(self, tmp_path, capsys, shaped_parameters):
+        in_record, _ = shaped_parameters
+        path = tmp_path / "out.jsonl"
+        code = main(["run", "--suite", "shaped_echo", "--iterations", "5", "--report", str(path)])
+        assert code == 0
+        records = read_records(str(path))
+        assert [r["mutation"] for r in records] == [{"name": "shaped", "parameters": in_record}] * 5
 
     def test_run_hands_write_report_the_list_of_reports(self, tmp_path, capsys, monkeypatch):
         # A traced run counts records by replacing cli.write_report.
@@ -529,6 +569,12 @@ class TestCliReplay:
         assert code == 1
         assert "m1_prime:   <repr raised ValueError>\n" in out
         assert f"verdict:    violation {failing['verdict']['detail']}\n" in out
+
+    def test_replay_prints_any_mutation_parameters(self, capsys, shaped_parameters):
+        _, in_transcript = shaped_parameters
+        code = main(["replay", "--suite", "shaped_echo", "--trial-seed", "1"])
+        assert code == 0
+        assert f"mutation:   shaped {in_transcript}\n" in capsys.readouterr().out
 
     def test_replay_matches_reported_failure(self, tmp_path, capsys):
         path = tmp_path / "r.jsonl"
