@@ -3,7 +3,7 @@
 A discrete Fourier transform whose exponent coefficient was typed as -1j
 instead of -2j still produces plausible-looking spectra.  This script
 compares how different oracles fare against it: a hand-written fixture, a
-differential check against an FFT, a metamorphic relation, and the
+differential check against numpy.fft, a metamorphic relation, and the
 round-trip (retromorphic) check idft(dft(x)) = x.
 """
 
@@ -14,7 +14,6 @@ from retroharness.suites.fourier import (
     idft,
     manual_fixture_check,
     metamorphic_baseline,
-    pad_to_pow2,
 )
 
 x = [1.0, 0.0, 1.0, 0.0]
@@ -31,8 +30,8 @@ print("  -> indices 1 and 3 should be 0.0; the relation is violated\n")
 print("manual fixture, correct variant:", manual_fixture_check("correct").outcome.value)
 print("manual fixture, buggy variant  :", manual_fixture_check("coef_minus_1j").outcome.value)
 
-print("differential vs fft, buggy     :",
-      differential_baseline(pad_to_pow2(x), "coef_minus_1j").outcome.value)
+print("differential vs numpy.fft, buggy:",
+      differential_baseline(x, "coef_minus_1j").outcome.value)
 
 # The metamorphic relation (add c to x_0, every spectrum entry gains c)
 # holds for the buggy transform as well: the first input sample is always

@@ -30,7 +30,6 @@ from ..core import (
 from ..generators import Rng, gen_integer
 
 __all__ = [
-    "gcd",
     "is_prime",
     "pollards_rho",
     "multiply_product",
@@ -57,32 +56,25 @@ _MR_BOUNDS = (
     3825123056546413051,
 )
 
-# Raised by gcd and by rho's inner loop, which calls math.gcd directly.
+# Raised by rho's inner loop when math.gcd meets (0, 0).
 _GCD_ZERO = "gcd(0, 0) is undefined"
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, ``math.gcd(a, b)``, refusing ``(0, 0)``.
-
-    The result is never negative, whatever the signs of the arguments:
-    ``gcd(4, -6)`` is 2.
-    """
-    if a == 0 and b == 0:
-        raise ValueError(_GCD_ZERO)
-    return math.gcd(a, b)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every 64-bit integer.
+    """Deterministic Miller-Rabin, exact for every n below 2**64.
 
     Only as many witnesses are tried as n needs: the first k when n is
     below the least odd composite that passes all k (OEIS A014233;
     Jaeschke, Math. Comp. 1993, and Jiang and Deng, Math. Comp. 2014), so
     five for any n below 2.1e12, and all twelve from 3.8e18 up.  No
-    randomness is drawn.
+    randomness is drawn.  Above 2**64 the twelve witnesses can be fooled
+    (318665857834031151167461 passes all of them), so ``n >= 2**64``
+    raises ``ValueError``.
     """
     if n < 2:
         return False
+    if n >= 2**64:
+        raise ValueError("is_prime is exact only below 2**64")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -15,7 +15,6 @@ from retroharness.core import (
 from retroharness.generators import Rng
 from retroharness.suites.factorization import (
     factorization_suite,
-    gcd,
     is_prime,
     multiply_product,
     pollards_rho,
@@ -108,25 +107,6 @@ def outcome_and_next_draw(rho, n, variant, seed, step_cap):
 RHO_CAPS = (1, 2, 3, 4, 5, 6, 10, 100, 10**4)
 
 
-class TestGcd:
-    def test_textbook(self):
-        assert gcd(12, 8) == 4
-
-    def test_coprime(self):
-        assert gcd(7, 1) == 1
-
-    def test_zero_identity(self):
-        assert gcd(0, 5) == 5
-
-    def test_double_zero_rejected(self):
-        with pytest.raises(ValueError, match=r"^gcd\(0, 0\) is undefined$"):
-            gcd(0, 0)
-
-    def test_negative_argument_gives_non_negative_result(self):
-        assert gcd(4, -6) == 2
-        assert gcd(-4, 0) == 4
-
-
 class TestIsPrime:
     def test_two(self):
         assert is_prime(2)
@@ -148,6 +128,16 @@ class TestIsPrime:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         for n in range(2, limit + 1):
             assert is_prime(n) == bool(sieve[n]), n
+
+    def test_refuses_n_from_2_to_the_64(self):
+        # The least composite that passes Miller-Rabin to all twelve
+        # witnesses lies above 2**64.
+        pseudoprime = 399165290221 * 798330580441
+        assert pseudoprime == 318665857834031151167461
+        assert strong_probable_prime(pseudoprime, TWELVE_WITNESSES)
+        for n in (2**64, pseudoprime):
+            with pytest.raises(ValueError, match=r"^is_prime is exact only below 2\*\*64$"):
+                is_prime(n)
 
 
 # The parent rule: Miller-Rabin to all twelve prime witnesses for every n.

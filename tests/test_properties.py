@@ -1,5 +1,3 @@
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +11,7 @@ from retroharness.expr import (
     parse_infix,
     print_infix,
 )
-from retroharness.suites.factorization import gcd, is_prime
+from retroharness.suites.factorization import is_prime
 from retroharness.suites.fourier import dft, idft
 from retroharness.suites.notation import (
     postfix_to_prefix,
@@ -103,13 +101,6 @@ def test_fourier_spectrum_shift_lands_on_first_sample(xs, c):
     out = idft([v + c for v in dft(xs)])
     assert abs(out[0].real - (xs[0] + c)) <= 1e-10
     assert all(abs(out[i].real - xs[i]) <= 1e-10 for i in range(1, len(xs)))
-
-
-@given(st.integers(0, 10**9), st.integers(0, 10**9))
-def test_gcd_matches_stdlib(a, b):
-    if a == 0 and b == 0:
-        return
-    assert gcd(a, b) == math.gcd(a, b)
 
 
 @given(st.integers(2, 10**6))
