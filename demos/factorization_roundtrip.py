@@ -10,8 +10,10 @@ by a replay seed whose trial stream draws n = 12 and then steers the walk
 to [2, 2, 2].
 """
 
+import math
+
 from retroharness import Rng, SuiteConfig, get_suite, replay_trial, run_suite
-from retroharness.suites.factorization import multiply_product, pollards_rho
+from retroharness.suites.factorization import pollards_rho
 
 print("correct factorization of 12 :", sorted(pollards_rho(12, "correct", Rng(0))))
 
@@ -20,7 +22,7 @@ suite = get_suite("factorization")
 report = replay_trial(suite, SuiteConfig(variant_id="gcd_x"), PINNED_SEED)
 print("buggy run on n =", report.m1,
       "returns", report.m2,
-      "-> product", multiply_product(report.m2))
+      "-> product", math.prod(report.m2))
 print("verdict:", report.verdict.outcome.value, "-", report.verdict.detail, "\n")
 
 summary, _ = run_suite(suite, SuiteConfig(iterations=500, master_seed=42))

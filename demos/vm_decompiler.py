@@ -12,13 +12,14 @@ tree, which is invisible on purely commutative programs.
 
 from retroharness import SuiteConfig, get_suite, run_suite
 from retroharness.expr import parse_infix
-from retroharness.suites.vm import bytecode_to_text, compile_expr, decompile
+from retroharness.suites.vm import compile_expr, decompile
 
 src = "(1+2)*4-a"
 code = compile_expr(parse_infix(src))
 print("source:", src)
 print("bytecode:")
-print(bytecode_to_text(code))
+for instr in code:
+    print(" ", instr.op if instr.arg is None else f"{instr.op} {instr.arg}")
 print("decompiled (correct) :", decompile(code, "correct"))
 print("decompiled (swap_sub):", decompile(code, "swap_sub"), "\n")
 

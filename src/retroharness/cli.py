@@ -85,7 +85,7 @@ def _resolve_run_options(args: argparse.Namespace) -> dict:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     for suite in list_suites():
-        variants = ", ".join(suite.variant_ids())
+        variants = ", ".join(suite.variants)
         print(f"{suite.name}  {suite.mode.value}  variants: {variants}")
     return 0
 

@@ -183,10 +183,6 @@ class MutationDescriptor:
     name: str
     parameters: Mapping[str, Any] = field(default_factory=dict)
 
-    @classmethod
-    def identity(cls) -> "MutationDescriptor":
-        return cls("identity", {})
-
 
 @dataclass
 class TrialContext:
@@ -264,9 +260,6 @@ class SuiteDefinition:
             raise ConfigError(f"suite {self.name!r} must define a 'correct' variant")
         if not self.mutators:
             raise ConfigError(f"suite {self.name!r} needs at least one mutator")
-
-    def variant_ids(self) -> list[str]:
-        return list(self.variants)
 
     def resolve(self, variant_id: str) -> tuple[Program, Program]:
         """Forward and backward programs with the variant's substitutions."""
@@ -360,11 +353,39 @@ def _is_real(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+# Each built-in type a relation judges, with that type's own conversion.
+_CONVERSIONS = (
+    (int, int.__int__),
+    (float, float.__float__),
+    (complex, complex.__complex__),
+    (str, str.__str__),
+)
+
+
+def _builtin(value, kinds=(int, float)):
+    """The built-in value of ``value`` if it is an instance of ``kinds``
+    (built-in types among int, float, complex and str) and not a bool, else
+    None.  A subclass instance converts by its base type's own method
+    (``float.__float__`` and the like), which runs none of the subclass's
+    methods, so a relation judges the value returned, never the returned
+    object's operators."""
+    if type(value) in kinds:
+        return value
+    if _is_real(value, kinds):
+        for kind, convert in _CONVERSIONS:
+            if isinstance(value, kind):
+                return convert(value)
+    return None
+
+
 def _within(actual, expected, tol, kinds=(int, float)) -> bool:
     """The numeric relations' one tolerance rule: ``actual`` is a ``kinds``
-    number, never a bool or NaN, at most ``tol`` from ``expected``."""
-    if not _is_real(actual, kinds):
-        return False
+    number, never a bool or NaN, whose built-in value is at most ``tol``
+    from ``expected``."""
+    if type(actual) not in kinds:
+        actual = _builtin(actual, kinds)
+        if actual is None:
+            return False
     try:
         return abs(actual - expected) <= tol
     except OverflowError:

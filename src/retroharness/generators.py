@@ -17,7 +17,6 @@ from .expr import OPERATORS, VARIABLES, BinOp, Const, ExprNode, Var
 __all__ = [
     "Rng",
     "gen_real_sequence",
-    "gen_integer",
     "gen_postfix",
     "gen_expr_ast",
     "gen_env",
@@ -31,16 +30,11 @@ POSTFIX_OPERANDS = string.ascii_lowercase + string.digits
 
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word.
-    Mixes a Python int, or a numpy uint64 array in place, whose arithmetic
+    Mixes a Python int, or returns a new numpy uint64 array, whose arithmetic
     wraps modulo 2**64 as the masks do (numpy scalars would warn instead)."""
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z &= _MASK64
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z &= _MASK64
-    z ^= z >> 31
-    return z
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
 
 class Rng:
@@ -99,20 +93,13 @@ def gen_real_sequence(
     length = rng.randint(min_len, max_len)
     import numpy as np
 
-    # state + i * gamma for i = 1..length, mixed in place.
+    # state + i * gamma for i = 1..length.
     z = np.arange(1, length + 1, dtype=np.uint64)
     z *= _GAMMA
     z += rng._state
-    _mix64(z)
+    z = _mix64(z)
     rng._state = (rng._state + _GAMMA * length) & _MASK64
     return (lo + (hi - lo) * ((z >> 11) * 2.0**-53)).tolist()
-
-
-def gen_integer(rng: Rng, lo: int = 2, hi: int = 10**12) -> int:
-    """Uniform integer in [lo, hi]; the low end never drops below 2."""
-    if lo < 2 or lo > hi:
-        raise ValueError(f"invalid integer range [{lo}, {hi}]")
-    return rng.randint(lo, hi)
 
 
 def _postfix_tree(rng: Rng, n_ops: int) -> str:

@@ -24,15 +24,15 @@ from ..core import (
     SuiteDefinition,
     TrialContext,
     Variant,
+    _builtin,
     _is_real,
     _variant,
 )
-from ..generators import Rng, gen_integer
+from ..generators import Rng
 
 __all__ = [
     "is_prime",
     "pollards_rho",
-    "multiply_product",
     "factorization_suite",
 ]
 
@@ -155,11 +155,6 @@ def pollards_rho(
     return factor(n)
 
 
-def multiply_product(factors) -> int:
-    """Product of all factors; the empty list multiplies to 1."""
-    return math.prod(factors)
-
-
 def factorization_suite(strict: bool = False) -> SuiteDefinition:
     """Forward-mode suite over n in [2, 10^12].
 
@@ -169,7 +164,7 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
     """
 
     def generate(ctx: TrialContext) -> int:
-        return gen_integer(ctx.rng, 2, 10**12)
+        return ctx.rng.randint(2, 10**12)
 
     def forward_correct(n: int, ctx: TrialContext) -> list[int]:
         return pollards_rho(n, "correct", ctx.rng, ctx.step_cap)
@@ -179,16 +174,20 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
 
     def backward(factors, ctx: TrialContext) -> int | None:
         # Forward output that is not a list of numbers is the forward's
-        # fault: return None, which the relation reports as a violation.
-        if not isinstance(factors, (list, tuple)) or not all(map(_is_real, factors)):
+        # fault: return None, which the relation reports as a violation.  The
+        # product is of the built-in values, so no factor's own __mul__ runs.
+        if not isinstance(factors, (list, tuple)):
             return None
-        return multiply_product(factors)
+        values = list(map(_builtin, factors))
+        return None if None in values else math.prod(values)
 
     def relation(n, n_prime, mutation, ctx) -> bool:
         return n_prime == n and all(_is_real(f, int) for f in ctx.m2_mutated)
 
     def relation_strict(n, n_prime, mutation, ctx) -> bool:
-        return relation(n, n_prime, mutation, ctx) and all(map(is_prime, ctx.m2_mutated))
+        return relation(n, n_prime, mutation, ctx) and all(
+            map(is_prime, map(_builtin, ctx.m2_mutated))
+        )
 
     return SuiteDefinition(
         name="factorization_strict" if strict else "factorization",

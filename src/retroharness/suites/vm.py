@@ -13,10 +13,9 @@ defect that is invisible on purely commutative programs.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
-from ..core import Mode, SuiteDefinition, TrialContext, Variant, _variant
+from ..core import Mode, SuiteDefinition, TrialContext, Variant, _builtin, _variant
 from ..expr import (
     APPLY,
     BinOp,
@@ -37,8 +36,6 @@ __all__ = [
     "compile_expr",
     "decompile",
     "run_vm",
-    "bytecode_to_text",
-    "bytecode_from_text",
     "vm_suite",
     "ENVS_PER_TRIAL",
 ]
@@ -125,38 +122,6 @@ def decompile(code: list[Instr], variant: str = "correct") -> str:
     return print_infix(_run_stack(code, Const, lambda name: Var(str(name)), node))
 
 
-def bytecode_to_text(code: list[Instr]) -> str:
-    """One instruction per line; integer operands in decimal."""
-    lines = []
-    for instr in code:
-        if instr.arg is None:
-            lines.append(instr.op)
-        else:
-            lines.append(f"{instr.op} {instr.arg}")
-    return "\n".join(lines) + "\n"
-
-
-def bytecode_from_text(text: str) -> list[Instr]:
-    code: list[Instr] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        instr = None
-        if parts[0] == "PUSH" and len(parts) == 2:
-            with contextlib.suppress(ValueError):
-                instr = Instr("PUSH", int(parts[1]))
-        elif parts[0] == "LOAD" and len(parts) == 2:
-            instr = Instr("LOAD", parts[1])
-        elif parts[0] in _BINARY_OPS and len(parts) == 1:
-            instr = Instr(parts[0])
-        if instr is None:
-            raise ValueError(f"bad bytecode line {lineno}: {raw!r}")
-        code.append(instr)
-    return code
-
-
 def _observe(node: ExprNode, env: dict[str, int]) -> tuple[str, object]:
     try:
         return ("value", eval_ast(node, env))
@@ -187,12 +152,14 @@ def vm_suite() -> SuiteDefinition:
         return decompile(code, "swap_sub")
 
     def relation(src, src_prime, mutation, ctx) -> bool:
-        if not isinstance(src_prime, str):
-            return False
-        # The same text is the same tree, so it agrees under every
-        # environment.  A str subclass may override __eq__, so only an exact
-        # str skips the sampling.
-        if type(src_prime) is str and src_prime == src:
+        # Only a string's built-in value is parsed or compared, so no method
+        # of the returned object runs.
+        if type(src_prime) is not str:
+            src_prime = _builtin(src_prime, (str,))
+            if src_prime is None:
+                return False
+        # The same text is the same tree, so it agrees under every environment.
+        if src_prime == src:
             return True
         original = parse_infix(src)
         try:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from retroharness import core
 from retroharness.core import (
     IDENTITY_MUTATOR,
     ConfigError,
@@ -329,6 +330,22 @@ def test_run_suite_reports_ordered_and_counts_sum():
     assert [r.trial_index for r in reports] == list(range(25))
     assert summary.passes + summary.violations + summary.program_errors == 25
     assert summary.first_failure_index is None
+
+
+def test_run_suite_calls_the_module_global_run_trial_once_per_trial(monkeypatch):
+    # core.run_trial is a patch point: tracers replace it to time each trial.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(core, "run_trial", spy)
+    suite, config = get_suite("reciprocal"), SuiteConfig(iterations=4)
+    _, reports = run_suite(suite, config)
+    assert [(args[2], kwargs) for args, kwargs in calls] == [(i, {}) for i in range(4)]
+    assert all(len(args) == 3 and args[0] is suite and args[1] is config for args, _ in calls)
+    assert reports == [run_trial(suite, config, i) for i in range(4)]
 
 
 def test_run_suite_identical_configs_identical_results():

@@ -38,6 +38,21 @@ class TestSineForward:
         assert report.m1_prime is None
         assert report.verdict.outcome is Outcome.VIOLATION
 
+    def test_output_whose_comparisons_lie_is_clamped_by_value(self, force_input):
+        # Unclamped(5.0) claims to lie inside [-1, 1], so a clamp that ran its
+        # comparisons would hand 5.0 to asin and fail the trusted backward.
+        class Unclamped(float):
+            def __gt__(self, other):
+                return True
+
+            def __lt__(self, other):
+                return True
+
+        suite = dataclasses.replace(sine_forward_suite(), forward=lambda x, ctx: Unclamped(5.0))
+        report = force_input(suite, 0.5)
+        assert report.m1_prime == math.pi / 2
+        assert report.verdict.outcome is Outcome.VIOLATION
+
     def test_correct_variant_holds_across_domain(self):
         summary, _ = run_suite(sine_forward_suite(), SuiteConfig(iterations=10_000))
         assert summary.violations == 0

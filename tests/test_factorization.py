@@ -16,7 +16,6 @@ from retroharness.generators import Rng
 from retroharness.suites.factorization import (
     factorization_suite,
     is_prime,
-    multiply_product,
     pollards_rho,
 )
 
@@ -231,7 +230,7 @@ class TestPollardsRho:
         for _ in range(50):
             n = rng.randint(2, 10**12)
             factors = pollards_rho(n, "correct", rng)
-            assert multiply_product(factors) == n
+            assert math.prod(factors) == n
             assert all(is_prime(f) for f in factors)
 
     def test_rejects_bad_arguments(self):
@@ -298,17 +297,6 @@ class TestRhoLoopAgainstReference:
         assert sorted(pollards_rho(n, "correct", Rng(seed), 3 * turns)) == [101, 103]
         with pytest.raises(StepCapExceeded, match="polynomial-iteration budget exhausted"):
             pollards_rho(n, "correct", Rng(seed), 3 * turns - 1)
-
-
-class TestMultiplyProduct:
-    def test_basic(self):
-        assert multiply_product([2, 2, 3]) == 12
-
-    def test_empty(self):
-        assert multiply_product([]) == 1
-
-    def test_wrong_factors_of_twelve(self):
-        assert multiply_product([2, 2, 2]) == 8
 
 
 class TestFactorizationSuite:
@@ -384,6 +372,43 @@ class TestFactorizationSuite:
         suite = dataclasses.replace(factorization_suite(), forward=lambda value, ctx: [2.0, 3.0])
         report = force_input(suite, 6)
         assert report.m1_prime == 6
+        assert report.verdict.outcome is Outcome.VIOLATION
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    def test_factor_whose_product_lies_is_violation(self, force_input, strict):
+        # 1 * Twelve(3) runs Twelve.__rmul__, which claims the product is 12.
+        class Twelve(int):
+            def __rmul__(self, other):
+                return 12
+
+            __mul__ = __rmul__
+
+        suite = dataclasses.replace(
+            factorization_suite(strict=strict), forward=lambda value, ctx: [Twelve(3)]
+        )
+        report = force_input(suite, 12)
+        assert report.m1_prime == 3
+        assert report.verdict.outcome is Outcome.VIOLATION
+
+    def test_strict_profile_judges_a_factor_that_poses_as_prime_by_value(self, force_input):
+        # 4 % p reads 0 and 4 == p reads True, so is_prime(PosingPrime(4))
+        # would return True if it ran the factor's own operators.
+        class PosingPrime(int):
+            __hash__ = int.__hash__
+
+            def __mod__(self, other):
+                return 0
+
+            def __eq__(self, other):
+                return True
+
+        assert is_prime(PosingPrime(4))
+        forward = lambda value, ctx: [PosingPrime(4), 3]  # noqa: E731
+        plain = dataclasses.replace(factorization_suite(), forward=forward)
+        strict = dataclasses.replace(factorization_suite(strict=True), forward=forward)
+        assert force_input(plain, 12).verdict.outcome is Outcome.PASS
+        report = force_input(strict, 12)
+        assert report.m1_prime == 12
         assert report.verdict.outcome is Outcome.VIOLATION
 
     def test_strict_correct_clean_over_300(self):

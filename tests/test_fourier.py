@@ -183,7 +183,7 @@ class TestFourierSuite:
         # True has real part 1, so only the item type tells it from 1.0.
         suite = fourier_suite()
         ctx = TrialContext(rng=Rng(0), eps=1e-10, step_cap=1)
-        identity = MutationDescriptor.identity()
+        identity = MutationDescriptor("identity")
         assert suite.relation([1.0, 0.0], [1.0, 0.0], identity, ctx)
         assert not suite.relation([1.0, 0.0], [True, False], identity, ctx)
 

@@ -5,7 +5,6 @@ from retroharness.generators import (
     Rng,
     gen_env,
     gen_expr_ast,
-    gen_integer,
     gen_postfix,
     gen_real_sequence,
 )
@@ -73,18 +72,6 @@ def test_gen_real_sequence_equals_the_scalar_draws(value_range):
         expected = [scalar.uniform(lo, hi) for _ in range(scalar.randint(1, 64))]
         assert values == expected, seed
         assert bulk._state == scalar._state, seed
-
-
-def test_gen_integer_degenerate_and_bounds():
-    rng = Rng(3)
-    assert gen_integer(rng, 12, 12) == 12
-    values = [gen_integer(Rng(s), 2, 10**12) for s in range(200)]
-    assert all(2 <= v <= 10**12 for v in values)
-
-
-def test_gen_integer_rejects_low_below_two():
-    with pytest.raises(ValueError):
-        gen_integer(Rng(0), 1, 10)
 
 
 def test_gen_postfix_always_validates():

@@ -45,7 +45,7 @@ GOLDEN_SHA256 = {
 
 
 def test_golden_table_covers_every_registered_pair():
-    registered = {(s.name, v) for s in list_suites() for v in s.variant_ids()}
+    registered = {(s.name, v) for s in list_suites() for v in s.variants}
     assert registered == set(GOLDEN_SHA256)
 
 

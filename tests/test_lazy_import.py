@@ -18,7 +18,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 for suite in list_suites():
     if suite.name == "fourier":
         continue
-    for variant in suite.variant_ids():
+    for variant in suite.variants:
         run_suite(suite, SuiteConfig(iterations=20, variant_id=variant, step_cap=10_000))
 print("numpy" in sys.modules)
 """

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from retroharness.core import Outcome, SuiteConfig, run_suite
@@ -132,6 +134,23 @@ class TestNotationSuite:
     def test_bug_invisible_on_single_operand(self, force_input):
         report = force_input(notation_suite(), "a", variant="operand_swap")
         assert report.verdict.outcome is Outcome.PASS
+
+    def test_str_subclass_equal_to_everything_is_judged_by_its_value(self, force_input):
+        class EqualToAll(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                return True
+
+        suite = dataclasses.replace(notation_suite(), backward=lambda s, ctx: EqualToAll("zzz"))
+        report = force_input(suite, "56a*+")
+        assert report.verdict.outcome is Outcome.VIOLATION
+
+    @pytest.mark.parametrize("returned", [None, ["56a*+"]], ids=["none", "list"])
+    def test_non_string_result_is_violation(self, force_input, returned):
+        suite = dataclasses.replace(notation_suite(), backward=lambda s, ctx: returned)
+        report = force_input(suite, "56a*+")
+        assert report.verdict.outcome is Outcome.VIOLATION
 
     def test_correct_round_trip_identity_2000(self):
         summary, _ = run_suite(notation_suite(), SuiteConfig(iterations=2000))

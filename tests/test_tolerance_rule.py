@@ -6,11 +6,13 @@ subtraction is exact: a residual of exactly the tolerance passes, the next
 float beyond it fails, and a value that is not a number of the relation's
 kind fails however close it is.  The expected values are 0.0 and 1.0, so
 ``bool(x)`` and ``complex(x)`` equal them numerically and only their type
-decides.
+decides.  A subclass instance is judged by its built-in value alone, so
+its own operators, lying or raising, never run.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from retroharness.core import MutationDescriptor, TrialContext
@@ -25,7 +27,25 @@ from retroharness.suites.fourier import fourier_suite
 
 EPS = 2.0**-30
 
-IDENTITY = MutationDescriptor.identity()
+
+class LyingFloat(float):
+    """Claims to be at distance zero from anything."""
+
+    def __sub__(self, other):
+        return 0.0
+
+
+class RaisingFloat(float):
+    def __sub__(self, other):
+        raise ArithmeticError("this float cannot be subtracted from")
+
+
+class LyingComplex(complex):
+    def __sub__(self, other):
+        return 0j
+
+
+IDENTITY = MutationDescriptor("identity")
 
 
 def _scalar(suite_factory):
@@ -60,6 +80,12 @@ CASES = {
     "str": (lambda x, tol: str(x), False),
     "complex": (lambda x, tol: complex(x), None),
     "int_past_float_range": (lambda x, tol: 10**400, False),
+    "lying_float_subclass": (lambda x, tol: LyingFloat(x + 1.0), False),
+    "raising_float_subclass_at_tol": (lambda x, tol: RaisingFloat(x + tol), True),
+    "raising_float_subclass_past_tol": (lambda x, tol: RaisingFloat(x + 1.0), False),
+    "lying_complex_subclass": (lambda x, tol: LyingComplex(x + 1.0), False),
+    "numpy_float64": (lambda x, tol: np.float64(x + tol), True),
+    "numpy_complex128": (lambda x, tol: np.complex128(x + tol), None),
 }
 
 
@@ -70,7 +96,8 @@ def test_tolerance_boundary(suite, case):
     make, passes = CASES[case]
     value = make(x, tol)
     if isinstance(value, float) and math.isfinite(value):
-        # Exactly at the tolerance, or one float past it.
-        assert abs(value - x) == tol if passes else abs(value - x) > tol
+        # Exactly at the tolerance, or one float past it (the built-in value's).
+        residual = abs(float.__float__(value) - x)
+        assert residual == tol if passes else residual > tol
     ctx = TrialContext(rng=Rng(0), eps=EPS, step_cap=1)
     assert judge(x, value, ctx) is (takes_complex if passes is None else passes)

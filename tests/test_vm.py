@@ -19,8 +19,6 @@ from retroharness.expr import (
 from retroharness.generators import Rng, gen_env, gen_expr_ast
 from retroharness.suites.vm import (
     Instr,
-    bytecode_from_text,
-    bytecode_to_text,
     compile_expr,
     decompile,
     run_vm,
@@ -202,30 +200,6 @@ class TestDecompile:
             assert parse_infix(decompile(compile_expr(tree), "correct")) == tree
 
 
-class TestBytecodeText:
-    def test_round_trip(self):
-        code = compile_expr(parse_infix("(1+a)/4"))
-        text = bytecode_to_text(code)
-        assert text == "PUSH 1\nLOAD a\nADD\nPUSH 4\nDIV\n"
-        assert bytecode_from_text(text) == code
-
-    def test_blank_lines_skipped_but_counted(self):
-        assert bytecode_from_text("\nPUSH 1\n   \nPUSH 2\nADD\n\n") == [
-            Instr("PUSH", 1), Instr("PUSH", 2), Instr("ADD")
-        ]
-        with pytest.raises(ValueError, match="bad bytecode line 3"):
-            bytecode_from_text("\n  \nPUSH x\n")
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(ValueError):
-            bytecode_from_text("PUSH\n")
-
-    def test_bad_push_operand_names_its_line(self):
-        with pytest.raises(ValueError) as err:
-            bytecode_from_text("PUSH x\n")
-        assert str(err.value) == "bad bytecode line 1: 'PUSH x'"
-
-
 class TestVmCoherence:
     def test_vm_matches_reference_evaluator(self):
         rng = Rng(99)
@@ -322,6 +296,21 @@ class TestVmSuite:
         assert [r.verdict.outcome for r in flattered_reports] == [
             r.verdict.outcome for r in reports
         ]
+
+    def test_str_subclass_posing_as_the_original_is_judged_by_its_value(self, force_input):
+        # The parser indexes its source, so a subclass whose __len__ and
+        # __getitem__ read another string would parse as that string.
+        class Posing(str):
+            def __len__(self):
+                return len(src)
+
+            def __getitem__(self, index):
+                return src[index]
+
+        src = "(1+2)*4-a"
+        suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: Posing("zzz"))
+        report = force_input(suite, src)
+        assert report.verdict.outcome is Outcome.VIOLATION
 
     def test_correct_variant_clean_over_1000(self):
         summary, _ = run_suite(vm_suite(), SuiteConfig(iterations=1000))
