@@ -61,5 +61,5 @@ with ExternalProgram(command(STALLER), role="forward", timeout=0.5) as stall:
     )
     summary, reports = run_suite(suite, SuiteConfig(iterations=1))
     print("stalling child:", reports[0].verdict.outcome.value, "-",
-          reports[0].verdict.detail)
+          reports[0].detail)
 print("the harness survives; the child was killed and would be respawned")

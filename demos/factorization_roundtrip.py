@@ -23,7 +23,7 @@ report = replay_trial(suite, SuiteConfig(variant_id="gcd_x"), PINNED_SEED)
 print("buggy run on n =", report.m1,
       "returns", report.m2,
       "-> product", math.prod(report.m2))
-print("verdict:", report.verdict.outcome.value, "-", report.verdict.detail, "\n")
+print("verdict:", report.verdict.outcome.value, "-", report.detail, "\n")
 
 summary, _ = run_suite(suite, SuiteConfig(iterations=500, master_seed=42))
 print(f"correct variant: {summary.passes}/{summary.iterations} pass "

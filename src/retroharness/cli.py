@@ -130,7 +130,8 @@ def _print_transcript(report, suite) -> None:
         print("mutation:   (not reached)")
     verdict = report.verdict
     stage = f" stage={verdict.stage.value}" if verdict.stage else ""
-    detail = f" {verdict.detail}" if verdict.detail else ""
+    detail = report.detail
+    detail = f" {detail}" if detail else ""
     print(f"verdict:    {verdict.outcome.value}{stage}{detail}")
 
 

@@ -115,22 +115,18 @@ def _variant(table: Mapping[str, Any], variant: str) -> Any:
         raise ValueError(f"unknown variant {variant!r}") from None
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Result of one trial: exactly one of pass / violation / program error.
 
-    A program error records the stage that failed.  A relation violation
-    keeps the original and round-tripped data as ``violated_pair`` and
-    renders them into ``detail`` only when it is read, so a run that never
-    reads a detail never pays for two reprs; a value whose repr raises reads
-    as :func:`safe_repr`'s placeholder.  Verdicts compare and hash by
-    outcome, stage and detail text.
+    A program error records the stage that failed.  A trial's relation
+    violation is the shared ``_VIOLATED``, whose text its report renders
+    from its own data (:attr:`TrialReport.detail`).
     """
 
     outcome: Outcome
     stage: Stage | None = None
-    message: str = ""
-    violated_pair: tuple[Any, Any] | None = None
+    detail: str = ""
 
     @classmethod
     def passed(cls) -> "Verdict":
@@ -138,40 +134,26 @@ class Verdict:
 
     @classmethod
     def violation(cls, detail: str) -> "Verdict":
-        return cls(Outcome.VIOLATION, message=detail)
-
-    @classmethod
-    def relation_violated(cls, m1: Any, m1_prime: Any) -> "Verdict":
-        return cls(Outcome.VIOLATION, violated_pair=(m1, m1_prime))
+        return cls(Outcome.VIOLATION, detail=detail)
 
     @classmethod
     def program_error(cls, stage: Stage, message: str) -> "Verdict":
-        return cls(Outcome.PROGRAM_ERROR, stage=stage, message=message)
-
-    @property
-    def detail(self) -> str:
-        if self.violated_pair is None:
-            return self.message
-        m1, m1_prime = self.violated_pair
-        return relation_detail(safe_repr(m1), safe_repr(m1_prime))
+        return cls(Outcome.PROGRAM_ERROR, stage, message)
 
     @property
     def is_pass(self) -> bool:
         return self.outcome is Outcome.PASS
 
-    def _key(self) -> tuple:
-        return (self.outcome, self.stage, self.detail)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __reduce_ex__(self, protocol):
+        # A copied or unpickled report keeps the shared relation violation,
+        # so its record still renders the detail from its own data.
+        if self is _VIOLATED:
+            return "_VIOLATED"
+        return object.__reduce_ex__(self, protocol)
 
 
 _PASSED = Verdict(Outcome.PASS)
+_VIOLATED = Verdict(Outcome.VIOLATION)
 # Read once: ``_execute`` would otherwise look up five enum members per trial.
 _GENERATE, _FORWARD_EXEC, _MUTATE, _BACKWARD_EXEC, _RELATION_EVAL = Stage
 
@@ -327,6 +309,14 @@ class TrialReport:
     m1_prime: Any = None
     mutation: MutationDescriptor | None = None
 
+    @property
+    def detail(self) -> str:
+        """The verdict's text; for a relation violation, the text naming
+        ``m1`` and ``m1_prime``, rendered by :func:`safe_repr` when read."""
+        if self.verdict is _VIOLATED:
+            return relation_detail(safe_repr(self.m1), safe_repr(self.m1_prime))
+        return self.verdict.detail
+
 
 @dataclass(frozen=True)
 class SuiteSummary:
@@ -353,22 +343,25 @@ def _is_real(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-# Each built-in type a relation judges, with that type's own conversion.
+# Each built-in type a relation judges, with that type's own conversion.  The
+# container copies read the stored items, not the subclass's __iter__/__len__.
 _CONVERSIONS = (
     (int, int.__int__),
     (float, float.__float__),
     (complex, complex.__complex__),
     (str, str.__str__),
+    (list, list.copy),
+    (tuple, lambda value: tuple.__getitem__(value, slice(None))),
 )
 
 
 def _builtin(value, kinds=(int, float)):
     """The built-in value of ``value`` if it is an instance of ``kinds``
-    (built-in types among int, float, complex and str) and not a bool, else
-    None.  A subclass instance converts by its base type's own method
-    (``float.__float__`` and the like), which runs none of the subclass's
-    methods, so a relation judges the value returned, never the returned
-    object's operators."""
+    (built-in types among int, float, complex, str, list and tuple) and not
+    a bool, else None.  A subclass instance converts by its base type's own
+    method (``float.__float__``, ``list.copy`` and the like), which runs
+    none of the subclass's methods, so a relation judges the value returned,
+    never the returned object's operators."""
     if type(value) in kinds:
         return value
     if _is_real(value, kinds):
@@ -446,7 +439,7 @@ def _execute(
         if suite.relation(m1, m1_prime, mutation, ctx):
             verdict = _PASSED
         else:
-            verdict = Verdict.relation_violated(m1, m1_prime)
+            verdict = _VIOLATED
     except (Exception, SystemExit) as exc:  # noqa: BLE001 - program failures become verdicts
         # A program's sys.exit fails its trial; KeyboardInterrupt stops the run.
         verdict = Verdict.program_error(stage, _error_message(exc))

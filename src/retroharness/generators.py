@@ -10,7 +10,7 @@ whose integer-drawing internals are an implementation detail).
 from __future__ import annotations
 
 import string
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .expr import OPERATORS, VARIABLES, BinOp, Const, ExprNode, Var
 
@@ -136,6 +136,6 @@ def gen_expr_ast(rng: Rng, max_depth: int = 4) -> ExprNode:
     return BinOp(op, gen_expr_ast(rng, max_depth - 1), gen_expr_ast(rng, max_depth - 1))
 
 
-def gen_env(rng: Rng, names: Sequence[str]) -> dict[str, int]:
+def gen_env(rng: Rng, names: Iterable[str]) -> dict[str, int]:
     """Variable bindings in [-9, 9] covering exactly the given names."""
     return {name: rng.randint(-9, 9) for name in sorted(names)}

@@ -12,7 +12,9 @@ from json import dumps
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .core import SuiteDefinition, SuiteSummary, TrialReport, relation_detail, safe_repr
+from .core import (
+    _VIOLATED, SuiteDefinition, SuiteSummary, TrialReport, relation_detail, safe_repr,
+)
 
 __all__ = ["SCHEMA_VERSION", "trial_record", "render_records", "write_report", "read_records"]
 
@@ -77,10 +79,9 @@ def _line(report: TrialReport, head: str, mode: str) -> str:
     stage_json = f', "stage": {_json(stage.value)}' if stage is not None else ""
     m1, m1_prime = report.m1, report.m1_prime
     m1_json, m1_prime_json = _json(safe_repr(m1)), _json(safe_repr(m1_prime))
-    pair = verdict.violated_pair
-    if pair is not None and pair[0] is m1 and pair[1] is m1_prime:
-        # The verdict's pair is the record's own data: its detail is made of
-        # the escaped reprs, since escaping works one character at a time.
+    if verdict is _VIOLATED:
+        # The detail names the record's own data: it is made of the escaped
+        # reprs, since escaping works one character at a time.
         detail_json = f', "detail": "{relation_detail(m1_json[1:-1], m1_prime_json[1:-1])}"'
     else:
         detail = verdict.detail

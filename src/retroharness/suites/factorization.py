@@ -175,18 +175,22 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
     def backward(factors, ctx: TrialContext) -> int | None:
         # Forward output that is not a list of numbers is the forward's
         # fault: return None, which the relation reports as a violation.  The
-        # product is of the built-in values, so no factor's own __mul__ runs.
-        if not isinstance(factors, (list, tuple)):
+        # product is of the built-in values, so no method of the returned
+        # list or of its factors runs.
+        factors = _builtin(factors, (list, tuple))
+        if factors is None:
             return None
         values = list(map(_builtin, factors))
         return None if None in values else math.prod(values)
 
     def relation(n, n_prime, mutation, ctx) -> bool:
-        return n_prime == n and all(_is_real(f, int) for f in ctx.m2_mutated)
+        return n_prime == n and all(
+            _is_real(f, int) for f in _builtin(ctx.m2_mutated, (list, tuple))
+        )
 
     def relation_strict(n, n_prime, mutation, ctx) -> bool:
         return relation(n, n_prime, mutation, ctx) and all(
-            map(is_prime, map(_builtin, ctx.m2_mutated))
+            map(is_prime, map(_builtin, _builtin(ctx.m2_mutated, (list, tuple))))
         )
 
     return SuiteDefinition(

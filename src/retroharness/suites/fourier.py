@@ -45,6 +45,7 @@ from ..core import (
     TrialContext,
     Variant,
     Verdict,
+    _builtin,
     _variant,
     _within,
 )
@@ -150,7 +151,8 @@ def fourier_suite() -> SuiteDefinition:
         return [value + c for value in spectrum], {"c": c}
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        if not isinstance(x_prime, (list, tuple)) or len(x_prime) != len(x):
+        x_prime = _builtin(x_prime, (list, tuple))
+        if x_prime is None or len(x_prime) != len(x):
             return False
         c = mutation.parameters.get("c", 0.0)
         return _first_miss(x_prime, [x[0] + c, *x[1:]], ctx.eps) is None

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import sys
 
 import pytest
@@ -164,7 +166,7 @@ def test_violation_detail_renders_both_values():
     suite = _echo_suite(forward=lambda v, ctx: v + 1, relation=lambda a, b, m, c: a == b)
     report = run_trial(suite, SuiteConfig(), 1)
     assert report.verdict.outcome is Outcome.VIOLATION
-    assert "m1=" in report.verdict.detail and "m1_prime=" in report.verdict.detail
+    assert report.detail == f"relation violated: m1={report.m1!r} m1_prime={report.m1_prime!r}"
 
 
 class _CountedRepr:
@@ -216,18 +218,44 @@ class TestLazyViolationDetail:
         assert violated
         for report in violated:
             m1, m1_prime = report.m1, report.m1_prime
-            assert report.verdict.detail == f"relation violated: m1={m1!r} m1_prime={m1_prime!r}"
-            assert report.verdict == Verdict.violation(report.verdict.detail)
-            assert hash(report.verdict) == hash(Verdict.violation(report.verdict.detail))
+            assert report.detail == f"relation violated: m1={m1!r} m1_prime={m1_prime!r}"
+            assert report.verdict.detail == ""
 
-    def test_record_of_foreign_data_reads_the_verdict(self):
-        # A report whose data is not the verdict's pair keeps the verdict's text.
+    def test_relation_violations_share_one_verdict(self):
+        _, reports = run_suite(_counted_suite([]), SuiteConfig(iterations=60))
+        violated = [r.verdict for r in reports if r.verdict.outcome is Outcome.VIOLATION]
+        assert violated and all(verdict is core._VIOLATED for verdict in violated)
+
+    def test_report_detail_is_its_record_detail(self):
+        # Passes, relation violations and program errors in one run.
+        def backward(v, ctx):
+            if v % 5 == 0:
+                raise RuntimeError(f"no inverse for {v}")
+            return v + (v % 3 == 0)
+
+        suite = _echo_suite(backward=backward)
+        _, reports = run_suite(suite, SuiteConfig(iterations=60))
+        assert {r.verdict.outcome for r in reports} == set(Outcome)
+        for report in reports:
+            record = json.loads(render_records([report], suite))
+            assert record["verdict"].get("detail", "") == report.detail
+
+    def test_copied_and_unpickled_reports_render_the_same_record(self):
+        suite = get_suite("reciprocal")
+        report = run_trial(suite, SuiteConfig(variant_id="off_by_eps"), 0)
+        assert report.verdict.outcome is Outcome.VIOLATION
+        line = render_records([report], suite)
+        for copied in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert copied == report
+            assert render_records([copied], suite) == line
+
+    def test_replaced_data_is_read_into_the_detail(self):
         suite = _echo_suite(forward=lambda v, ctx: v + 1)
         report = dataclasses.replace(run_trial(suite, SuiteConfig(), 1), m1=-5)
         record = json.loads(render_records([report], suite))
         assert record["m1_repr"] == "-5"
-        assert record["verdict"]["detail"] == report.verdict.detail
-        assert "m1=-5" not in record["verdict"]["detail"]
+        assert record["verdict"]["detail"] == report.detail
+        assert report.detail.startswith("relation violated: m1=-5 m1_prime=")
 
     def test_none_m1_is_named_in_detail_but_not_in_record(self):
         suite = dataclasses.replace(
@@ -235,9 +263,9 @@ class TestLazyViolationDetail:
             generator=lambda ctx: None,
         )
         report = run_trial(suite, SuiteConfig(), 0)
-        assert report.verdict.detail == "relation violated: m1=None m1_prime=None"
+        assert report.detail == "relation violated: m1=None m1_prime=None"
         record = json.loads(render_records([report], suite))
-        assert record["verdict"]["detail"] == report.verdict.detail
+        assert record["verdict"]["detail"] == report.detail
         assert record["m1_repr"] == record["m1_prime_repr"] == ""
 
     @pytest.mark.parametrize(
@@ -264,9 +292,7 @@ class TestLazyViolationDetail:
         placeholder = f"<repr raised {error}>"
         assert safe_repr(value) == placeholder
         detail = f"relation violated: m1={report.m1!r} m1_prime={placeholder}"
-        assert report.verdict.detail == detail
-        assert report.verdict == Verdict.violation(detail)
-        assert hash(report.verdict) == hash(Verdict.violation(detail))
+        assert report.detail == detail
         record = json.loads(render_records([report], suite))
         assert record["verdict"]["detail"] == detail
         assert record["m1_prime_repr"] == placeholder

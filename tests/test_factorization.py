@@ -411,6 +411,18 @@ class TestFactorizationSuite:
         assert report.m1_prime == 12
         assert report.verdict.outcome is Outcome.VIOLATION
 
+    def test_strict_profile_reads_the_stored_factors_not_the_lists_iter(self, force_input):
+        # The list holds [12]; only its own __iter__ shows the primes.
+        class ShowsPrimes(list):
+            def __iter__(self):
+                return iter([2, 2, 3])
+
+        forward = lambda value, ctx: ShowsPrimes([12])  # noqa: E731
+        strict = dataclasses.replace(factorization_suite(strict=True), forward=forward)
+        report = force_input(strict, 12)
+        assert report.m1_prime == 12
+        assert report.verdict.outcome is Outcome.VIOLATION
+
     def test_strict_correct_clean_over_300(self):
         summary, _ = run_suite(
             factorization_suite(strict=True), SuiteConfig(iterations=300)

@@ -187,6 +187,26 @@ class TestFourierSuite:
         assert suite.relation([1.0, 0.0], [1.0, 0.0], identity, ctx)
         assert not suite.relation([1.0, 0.0], [True, False], identity, ctx)
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_container_is_judged_by_its_stored_items(self, container):
+        # The container holds [0.0]; only its own __iter__ and __len__ show
+        # the correct round trip.
+        class Echo(container):
+            def __iter__(self):
+                return iter(self.shown)
+
+            def __len__(self):
+                return len(self.shown)
+
+        def backward(spectrum, ctx):
+            echo = Echo([0.0])
+            echo.shown = idft(spectrum)
+            return echo
+
+        suite = dataclasses.replace(fourier_suite(), backward=backward)
+        summary, _ = run_suite(suite, SuiteConfig(iterations=50))
+        assert summary.violations == 50
+
     def test_imaginary_parts_are_judged(self):
         # Real parts exact, imaginary parts equal to them: a violation.
         tilted = dataclasses.replace(

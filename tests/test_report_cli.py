@@ -165,18 +165,13 @@ class _RaisingRepr:
 datums = st.one_of(st.none(), json_values, st.builds(_RaisingRepr))
 
 
-@st.composite
-def verdicts(draw, m1, m1_prime):
-    kind = draw(st.sampled_from(["pass", "own_pair", "foreign_pair", "message", "error"]))
-    if kind == "pass":
-        return Verdict.passed()
-    if kind == "own_pair":
-        return Verdict.relation_violated(m1, m1_prime)
-    if kind == "foreign_pair":
-        return Verdict.relation_violated(draw(datums), draw(datums))
-    if kind == "message":
-        return Verdict.violation(draw(texts))
-    return Verdict.program_error(draw(st.sampled_from(list(Stage))), draw(texts))
+verdicts = st.one_of(
+    st.just(Verdict.passed()),
+    # A trial's relation violation, whose detail names the report's own data.
+    st.just(core._VIOLATED),
+    st.builds(Verdict.violation, texts),
+    st.builds(Verdict.program_error, st.sampled_from(list(Stage)), texts),
+)
 
 
 @st.composite
@@ -194,7 +189,7 @@ def report_lists(draw):
         reports.append(TrialReport(
             draw(st.sampled_from(suites)), draw(st.sampled_from(variants)),
             draw(st.integers(0, 2**64)), draw(st.integers(0, 2**64 - 1)),
-            draw(verdicts(m1, m1_prime)), m1, None, None, m1_prime, mutation,
+            draw(verdicts), m1, None, None, m1_prime, mutation,
         ))
     return reports
 
@@ -204,7 +199,11 @@ def _documented_record(report, suite):
     verdict = {"kind": report.verdict.outcome.value}
     if report.verdict.stage is not None:
         verdict["stage"] = report.verdict.stage.value
-    if report.verdict.detail:
+    if report.verdict is core._VIOLATED:
+        verdict["detail"] = (
+            f"relation violated: m1={safe_repr(report.m1)} m1_prime={safe_repr(report.m1_prime)}"
+        )
+    elif report.verdict.detail:
         verdict["detail"] = report.verdict.detail
     mutation = report.mutation
     return {
@@ -543,7 +542,7 @@ class TestCliReplay:
         assert "m1:         12" in out
         assert "[2, 2, 2]" in out
         assert "m1_prime:   8" in out
-        assert "violation" in out
+        assert "verdict:    violation relation violated: m1=12 m1_prime=8\n" in out
 
     def test_replay_correct_variant_passes_same_seed(self, capsys):
         code = main(["replay", "--suite", "factorization", "--trial-seed", self.PINNED])
