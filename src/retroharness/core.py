@@ -119,9 +119,10 @@ def _variant(table: Mapping[str, Any], variant: str) -> Any:
 class Verdict:
     """Result of one trial: exactly one of pass / violation / program error.
 
-    A program error records the stage that failed.  A trial's relation
-    violation is the shared ``_VIOLATED``, whose text its report renders
-    from its own data (:attr:`TrialReport.detail`).
+    A program error records the stage that failed.  A violation with no
+    detail of its own, such as a trial's relation violation (the shared
+    ``_VIOLATED``), is described by its report's own data
+    (:attr:`TrialReport.detail`), so equal verdicts render alike.
     """
 
     outcome: Outcome
@@ -143,13 +144,6 @@ class Verdict:
     @property
     def is_pass(self) -> bool:
         return self.outcome is Outcome.PASS
-
-    def __reduce_ex__(self, protocol):
-        # A copied or unpickled report keeps the shared relation violation,
-        # so its record still renders the detail from its own data.
-        if self is _VIOLATED:
-            return "_VIOLATED"
-        return object.__reduce_ex__(self, protocol)
 
 
 _PASSED = Verdict(Outcome.PASS)
@@ -311,11 +305,13 @@ class TrialReport:
 
     @property
     def detail(self) -> str:
-        """The verdict's text; for a relation violation, the text naming
-        ``m1`` and ``m1_prime``, rendered by :func:`safe_repr` when read."""
-        if self.verdict is _VIOLATED:
+        """The verdict's text; for a violation with no text of its own, the
+        text naming ``m1`` and ``m1_prime``, rendered by :func:`safe_repr`
+        when read."""
+        verdict = self.verdict
+        if verdict.outcome is Outcome.VIOLATION and not verdict.detail:
             return relation_detail(safe_repr(self.m1), safe_repr(self.m1_prime))
-        return self.verdict.detail
+        return verdict.detail
 
 
 @dataclass(frozen=True)

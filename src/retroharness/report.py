@@ -12,15 +12,15 @@ from json import dumps
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .core import (
-    _VIOLATED, SuiteDefinition, SuiteSummary, TrialReport, relation_detail, safe_repr,
-)
+from .core import Outcome, SuiteDefinition, SuiteSummary, TrialReport, relation_detail, safe_repr
 
 __all__ = ["SCHEMA_VERSION", "trial_record", "render_records", "write_report", "read_records"]
 
 SCHEMA_VERSION = 1
-# Records rendered per write: the writer holds one batch of text at a time.
-_BATCH = 256
+# Text rendered per write: the writer holds one batch of about this many
+# bytes at a time, however long its records are.  Records are ASCII, so a
+# character of text is a byte of the file.
+_BATCH_BYTES = 65536
 
 
 # What encoding a value can raise: a type JSON lacks, an int past Python's
@@ -79,13 +79,16 @@ def _line(report: TrialReport, head: str, mode: str) -> str:
     stage_json = f', "stage": {_json(stage.value)}' if stage is not None else ""
     m1, m1_prime = report.m1, report.m1_prime
     m1_json, m1_prime_json = _json(safe_repr(m1)), _json(safe_repr(m1_prime))
-    if verdict is _VIOLATED:
-        # The detail names the record's own data: it is made of the escaped
-        # reprs, since escaping works one character at a time.
+    detail = verdict.detail
+    if detail:
+        detail_json = f', "detail": {_json(detail)}'
+    elif verdict.outcome is Outcome.VIOLATION:
+        # A violation with no text of its own names the record's own data: its
+        # detail is made of the escaped reprs, since escaping works one
+        # character at a time.
         detail_json = f', "detail": "{relation_detail(m1_json[1:-1], m1_prime_json[1:-1])}"'
     else:
-        detail = verdict.detail
-        detail_json = f', "detail": {_json(detail)}' if detail else ""
+        detail_json = ""
     # A missing value is named in the detail but has an empty repr field.
     if m1 is None:
         m1_json = '""'
@@ -117,8 +120,14 @@ def render_records(reports: list[TrialReport], suite: SuiteDefinition) -> str:
 
 def write_report(path: str, reports: list[TrialReport], suite: SuiteDefinition) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(reports), _BATCH):
-            fh.write(render_records(reports[start:start + _BATCH], suite))
+        # Each batch is sized from the bytes per record of the one before
+        # it; a record longer than _BATCH_BYTES is written alone.
+        start, size = 0, 16
+        while start < len(reports):
+            text = render_records(reports[start:start + size], suite)
+            fh.write(text)
+            start += size
+            size = max(1, size * _BATCH_BYTES // len(text))
 
 
 def read_records(path: str) -> list[dict[str, Any]]:

@@ -249,6 +249,17 @@ class TestLazyViolationDetail:
             assert copied == report
             assert render_records([copied], suite) == line
 
+    def test_equal_violations_render_alike(self):
+        # Verdict.violation("") equals the shared relation violation, so it
+        # too is described by the report's own data.
+        suite = get_suite("reciprocal")
+        report = run_trial(suite, SuiteConfig(variant_id="off_by_eps"), 0)
+        empty = dataclasses.replace(report, verdict=Verdict.violation(""))
+        assert empty.verdict == core._VIOLATED and empty.verdict is not core._VIOLATED
+        assert empty == report
+        assert empty.detail == report.detail
+        assert render_records([empty], suite) == render_records([report], suite)
+
     def test_replaced_data_is_read_into_the_detail(self):
         suite = _echo_suite(forward=lambda v, ctx: v + 1)
         report = dataclasses.replace(run_trial(suite, SuiteConfig(), 1), m1=-5)

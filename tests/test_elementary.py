@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from retroharness.core import Outcome, SuiteConfig, run_suite
+from retroharness.core import Outcome, SuiteConfig, TrialContext, run_suite
+from retroharness.generators import Rng
 from retroharness.suites.elementary import (
     reciprocal_integrated_suite,
     sine_backward_suite,
@@ -52,6 +53,37 @@ class TestSineForward:
         report = force_input(suite, 0.5)
         assert report.m1_prime == math.pi / 2
         assert report.verdict.outcome is Outcome.VIOLATION
+
+    # Near ±pi/2 a last-bit rounding of sin x moves arcsin by about 1/cos x
+    # ulps, far past eps; 1.5707962953029666 failed a benchmark run.
+    @pytest.mark.parametrize("x", [1.5707962953029666, math.pi / 2 - 1e-9])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_correct_sine_passes_next_to_half_pi(self, force_input, x, sign):
+        report = force_input(sine_forward_suite(), sign * x)
+        assert report.verdict.outcome is Outcome.PASS
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_correct_sine_passes_the_last_band_before_half_pi(self, sign):
+        suite = sine_forward_suite()
+        ctx = TrialContext(Rng(0), 1e-10, 1)
+        failed = []
+        for i in range(20_000):
+            x = sign * (math.pi / 2 - 2e-5 * i / 20_000)
+            ctx.m2_mutated = suite.forward(x, ctx)
+            if not suite.relation(x, suite.backward(ctx.m2_mutated, ctx), None, ctx):
+                failed.append(x)
+        assert failed == []
+
+    def test_rounding_slack_needs_a_float_forward_output(self):
+        # An int, a str or a NaN output adds no slack, so the plain check decides.
+        suite = sine_forward_suite()
+        x = math.pi / 2 - 1e-9
+        ctx = TrialContext(Rng(0), 1e-10, 1)
+        for t in (1, "1.0", math.nan):
+            ctx.m2_mutated = t
+            assert not suite.relation(x, math.pi / 2, None, ctx)
+        ctx.m2_mutated = math.sin(x)
+        assert suite.relation(x, math.pi / 2, None, ctx)
 
     def test_correct_variant_holds_across_domain(self):
         summary, _ = run_suite(sine_forward_suite(), SuiteConfig(iterations=10_000))

@@ -14,6 +14,7 @@ from retroharness.cli import main
 from retroharness.core import (
     Mode,
     MutationDescriptor,
+    Outcome,
     Stage,
     SuiteConfig,
     SuiteDefinition,
@@ -24,7 +25,7 @@ from retroharness.core import (
     safe_repr,
 )
 from retroharness.report import (
-    _BATCH,
+    _BATCH_BYTES,
     SCHEMA_VERSION,
     read_records,
     render_records,
@@ -79,53 +80,77 @@ class TestReportRecords:
         _, second = run_suite(suite, cfg)
         assert render_records(first, suite) == render_records(second, suite)
 
-    @pytest.mark.parametrize("count", [0, 1, _BATCH, _BATCH + 1, _BATCH * 5 // 2])
+    # The first batch holds 16 records and the later ones about 170 each.
+    @pytest.mark.parametrize("count", [0, 1, 16, 17, 256, 257, 640])
     def test_batched_write_matches_one_render(self, tmp_path, count):
         suite = get_suite("reciprocal")
-        _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH * 5 // 2, variant_id="off_by_eps"))
+        _, reports = run_suite(suite, SuiteConfig(iterations=640, variant_id="off_by_eps"))
         path = tmp_path / "out.jsonl"
         write_report(str(path), reports[:count], suite)
         assert path.read_bytes() == render_records(reports[:count], suite).encode("utf-8")
 
     def test_write_holds_one_batch_of_text(self, tmp_path):
+        # reciprocal's records are about 390 bytes and fourier's 4-8.5 kB:
+        # either way the writer holds about 64 KiB of text, three times over.
+        jobs = [("reciprocal", "off_by_eps", 5000), ("fourier", "coef_minus_1j", 600)]
+        for name, variant, iterations in jobs:
+            suite = get_suite(name)
+            _, reports = run_suite(suite, SuiteConfig(iterations=iterations, variant_id=variant))
+            size = len(render_records(reports, suite).encode("utf-8"))
+            tracemalloc.start()
+            try:
+                write_report(str(tmp_path / "out.jsonl"), reports, suite)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < min(size / 4, 512 * 1024), name
+
+    def test_record_longer_than_a_batch_is_written_alone(self, tmp_path, monkeypatch):
         suite = get_suite("reciprocal")
-        _, reports = run_suite(suite, SuiteConfig(iterations=5000, variant_id="off_by_eps"))
-        size = len(render_records(reports, suite).encode("utf-8"))
-        tracemalloc.start()
-        try:
-            write_report(str(tmp_path / "out.jsonl"), reports, suite)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < size / 4
+        _, reports = run_suite(suite, SuiteConfig(iterations=20))
+        reports = [dataclasses.replace(r, m1="x" * _BATCH_BYTES) for r in reports]
+        batches = []
+
+        def spy(batch, suite):
+            batches.append(len(batch))
+            return render_records(batch, suite)
+
+        monkeypatch.setattr(report, "render_records", spy)
+        path = tmp_path / "out.jsonl"
+        write_report(str(path), reports, suite)
+        assert batches == [16, 1, 1, 1, 1]
+        assert path.read_bytes() == render_records(reports, suite).encode("utf-8")
 
     def test_unrepresentable_record_is_written_with_a_placeholder(self, tmp_path):
         suite = get_suite("reciprocal")
-        _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH * 2))
-        # An int past Python's 4,300-digit str limit cannot be repr'd.
-        reports[_BATCH + 1] = dataclasses.replace(reports[_BATCH + 1], m1=10**5000)
+        _, reports = run_suite(suite, SuiteConfig(iterations=100))
+        # An int past Python's 4,300-digit str limit cannot be repr'd; index
+        # 17 lies in the second batch.
+        reports[17] = dataclasses.replace(reports[17], m1=10**5000)
         path = tmp_path / "out.jsonl"
         write_report(str(path), reports, suite)
         records = read_records(str(path))
-        assert len(records) == _BATCH * 2
-        assert records[_BATCH + 1]["m1_repr"] == "<repr raised ValueError>"
+        assert len(records) == 100
+        assert records[17]["m1_repr"] == "<repr raised ValueError>"
         assert path.read_bytes() == render_records(reports, suite).encode("utf-8")
 
     def test_write_report_renders_through_the_module_global(self, tmp_path, monkeypatch):
         # A traced run times rendering by replacing report.render_records.
         suite = get_suite("reciprocal")
-        _, reports = run_suite(suite, SuiteConfig(iterations=_BATCH + 1))
+        _, reports = run_suite(suite, SuiteConfig(iterations=100))
         calls = []
+        text = "b" * (_BATCH_BYTES // 4 - 1) + "\n"
 
         def tagged(batch, suite):
             calls.append(len(batch))
-            return "batch\n"
+            return text
 
         monkeypatch.setattr(report, "render_records", tagged)
         path = tmp_path / "out.jsonl"
         write_report(str(path), reports, suite)
-        assert calls == [_BATCH, 1]
-        assert path.read_text() == "batch\nbatch\n"
+        # 16 records gave a quarter of a batch's bytes, so the next holds 64.
+        assert calls == [16, 64, 20]
+        assert path.read_text() == text * 3
 
 
 # Text that JSON must escape: non-ASCII, quotes, backslashes, control
@@ -199,7 +224,7 @@ def _documented_record(report, suite):
     verdict = {"kind": report.verdict.outcome.value}
     if report.verdict.stage is not None:
         verdict["stage"] = report.verdict.stage.value
-    if report.verdict is core._VIOLATED:
+    if report.verdict.outcome is Outcome.VIOLATION and not report.verdict.detail:
         verdict["detail"] = (
             f"relation violated: m1={safe_repr(report.m1)} m1_prime={safe_repr(report.m1_prime)}"
         )
