@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
@@ -148,13 +147,20 @@ class Verdict:
 
 _PASSED = Verdict(Outcome.PASS)
 _VIOLATED = Verdict(Outcome.VIOLATION)
-# Read once: ``_execute`` would otherwise look up five enum members per trial.
+# Read once: ``_execute`` and ``run_suite`` would otherwise look up enum
+# members per trial.
 _GENERATE, _FORWARD_EXEC, _MUTATE, _BACKWARD_EXEC, _RELATION_EVAL = Stage
+_PASS, _VIOLATION = Outcome.PASS, Outcome.VIOLATION
 
 
 @dataclass(slots=True)
 class MutationDescriptor:
-    """Name and drawn parameters of the mutation applied to one trial."""
+    """Name and drawn parameters of the mutation applied to one trial.
+
+    Every trial whose mutation drew no parameters holds its mutator's one
+    shared descriptor (:attr:`Mutator.descriptor`), so a report's
+    ``mutation`` is read-only.
+    """
 
     name: str
     parameters: Mapping[str, Any] = field(default_factory=dict)
@@ -192,10 +198,19 @@ class Mutator:
     ``apply(m2, ctx)`` returns the mutated datum and the parameter map for
     the mutation descriptor.  The identity mutator returns its argument
     unchanged (the same object, so identity trials are bit-identical).
+
+    ``descriptor`` is built once, for the parameterless case: a trial whose
+    ``apply`` returns an empty ``dict`` holds it instead of a descriptor of
+    its own.  Any other parameters, ``None`` or an empty mapping of another
+    type included, get a fresh :class:`MutationDescriptor` holding them.
     """
 
     name: str
     apply: MutateFn
+    descriptor: MutationDescriptor = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "descriptor", MutationDescriptor(self.name, {}))
 
 
 IDENTITY_MUTATOR = Mutator("identity", lambda value, ctx: (value, {}))
@@ -394,14 +409,6 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return _mix64((master_seed ^ ((trial_index + 1) * _GAMMA)) & _MASK64)
 
 
-def _select_mutator(mutators: tuple[Mutator, ...], rng: Rng) -> Mutator:
-    # Single-mutator suites consume no randomness here, so their program
-    # streams are unaffected by mutator bookkeeping.
-    if len(mutators) == 1:
-        return mutators[0]
-    return mutators[int(rng.random() * len(mutators))]
-
-
 def _execute(
     suite: SuiteDefinition,
     config: SuiteConfig,
@@ -413,19 +420,27 @@ def _execute(
 
     m1 = m2 = m2_mutated = m1_prime = None
     mutation: MutationDescriptor | None = None
-    verdict: Verdict | None = None
 
     stage = _GENERATE
     try:
         m1 = suite.generator(ctx)
-        mutator = _select_mutator(suite.mutators, ctx.rng)
+        # A single mutator draws nothing, so its suite's program streams
+        # are unaffected by mutator bookkeeping.
+        mutators = suite.mutators
+        if len(mutators) == 1:
+            mutator = mutators[0]
+        else:
+            mutator = mutators[int(ctx.rng.random() * len(mutators))]
 
         stage = _FORWARD_EXEC
         m2 = forward(m1, ctx)
 
         stage = _MUTATE
         m2_mutated, parameters = mutator.apply(m2, ctx)
-        mutation = MutationDescriptor(mutator.name, parameters)
+        if type(parameters) is dict and not parameters:
+            mutation = mutator.descriptor
+        else:
+            mutation = MutationDescriptor(mutator.name, parameters)
         ctx.m2_mutated = m2_mutated
 
         stage = _BACKWARD_EXEC
@@ -474,24 +489,35 @@ def run_suite(
 ) -> tuple[SuiteSummary, list[TrialReport]]:
     """Run ``config.iterations`` trials and summarise the verdicts.
 
-    Configuration problems are raised before any trial executes.  Reports
-    come back ordered by trial index and a repeated run with an equal
-    configuration produces equal reports.
+    Configuration problems are raised before any trial executes.  Each
+    trial runs through the module-global :func:`run_trial`, in index order,
+    and one pass over the reports counts the verdicts and finds the first
+    failure.  Reports come back ordered by trial index and a repeated run
+    with an equal configuration produces equal reports; reports of a
+    parameterless mutation share their mutator's descriptor.
     """
     config.validate(suite)
     started = time.perf_counter()
 
     reports = [run_trial(suite, config, index) for index in range(config.iterations)]
-    counts = Counter(report.verdict.outcome for report in reports)
-    first_failure = next((report for report in reports if not report.verdict.is_pass), None)
+    violations = program_errors = 0
+    first_failure = None
+    for report in reports:
+        if report.verdict.outcome is not _PASS:
+            if report.verdict.outcome is _VIOLATION:
+                violations += 1
+            else:
+                program_errors += 1
+            if first_failure is None:
+                first_failure = report
 
     summary = SuiteSummary(
         suite=suite.name,
         variant_id=config.variant_id,
         iterations=config.iterations,
-        passes=counts[Outcome.PASS],
-        violations=counts[Outcome.VIOLATION],
-        program_errors=counts[Outcome.PROGRAM_ERROR],
+        passes=len(reports) - violations - program_errors,
+        violations=violations,
+        program_errors=program_errors,
         first_failure_index=first_failure.trial_index if first_failure else None,
         first_failure_seed=first_failure.trial_seed if first_failure else None,
         wall_time=time.perf_counter() - started,

@@ -120,14 +120,16 @@ def render_records(reports: list[TrialReport], suite: SuiteDefinition) -> str:
 
 def write_report(path: str, reports: list[TrialReport], suite: SuiteDefinition) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # Each batch is sized from the bytes per record of the one before
-        # it; a record longer than _BATCH_BYTES is written alone.
-        start, size = 0, 16
+        # The first batch is one record, and each later one is sized from
+        # the bytes per record of the one before it, so a record longer than
+        # _BATCH_BYTES is written alone.  A batch grows at most fourfold,
+        # since a few short records say little about the next ones.
+        start, size = 0, 1
         while start < len(reports):
             text = render_records(reports[start:start + size], suite)
             fh.write(text)
             start += size
-            size = max(1, size * _BATCH_BYTES // len(text))
+            size = max(1, min(4 * size, size * _BATCH_BYTES // len(text)))
 
 
 def read_records(path: str) -> list[dict[str, Any]]:

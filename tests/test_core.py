@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import gc
 import json
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 
@@ -385,6 +387,61 @@ def test_run_suite_calls_the_module_global_run_trial_once_per_trial(monkeypatch)
     assert reports == [run_trial(suite, config, i) for i in range(4)]
 
 
+def _fail_at(value, at):
+    if value == at:
+        raise RuntimeError(f"fails at {at}")
+    return value
+
+
+def _staged_suite():
+    """Each trial's drawn datum names where it ends: 0 fails at generate,
+    1 at forward, 2 at mutate, 3 at backward, 4 in the relation; 5 is a
+    violation, 6 and 7 pass."""
+    return SuiteDefinition(
+        name="staged",
+        mode=Mode.INTEGRATED,
+        generator=lambda ctx: _fail_at(ctx.rng.randint(0, 7), 0),
+        forward=lambda v, ctx: _fail_at(v, 1),
+        backward=lambda v, ctx: _fail_at(v, 3),
+        relation=lambda m1, m1p, mutation, ctx: _fail_at(m1, 4) != 5,
+        mutators=(Mutator("staged", lambda v, ctx: (_fail_at(v, 2), {})),),
+    )
+
+
+class TestSuiteSummary:
+    def test_all_pass(self):
+        summary, _ = run_suite(_echo_suite(), SuiteConfig(iterations=30))
+        assert summary == core.SuiteSummary("echo", "correct", 30, 30, 0, 0, None, None)
+
+    def test_all_violation(self):
+        suite = _echo_suite(relation=lambda a, b, m, c: False)
+        summary, _ = run_suite(suite, SuiteConfig(iterations=30, master_seed=9))
+        assert summary == core.SuiteSummary(
+            "echo", "correct", 30, 0, 30, 0, 0, derive_trial_seed(9, 0)
+        )
+
+    def test_mixed_with_program_errors_at_every_stage(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(core, "run_trial", spy)
+        suite, config = _staged_suite(), SuiteConfig(iterations=40, master_seed=3)
+        summary, reports = run_suite(suite, config)
+        assert summary == core.SuiteSummary(
+            "staged", "correct", 40, 11, 6, 23, 4, derive_trial_seed(3, 4)
+        )
+        assert len(calls) == 40
+        for index, (args, kwargs) in enumerate(calls):
+            assert len(args) == 3 and args[0] is suite and args[1] is config
+            assert (args[2], kwargs) == (index, {})
+        stages = {r.verdict.stage for r in reports if r.verdict.outcome is Outcome.PROGRAM_ERROR}
+        assert stages == set(Stage)
+        assert [r.verdict.is_pass for r in reports[:5]] == [True] * 4 + [False]
+
+
 def test_run_suite_identical_configs_identical_results():
     cfg = SuiteConfig(iterations=40, master_seed=99)
     s1, r1 = run_suite(_echo_suite(), cfg)
@@ -451,6 +508,53 @@ def test_mutator_selection_is_deterministic():
     _, reports2 = run_suite(suite, cfg)
     assert names == [r.mutation.name for r in reports2]
     assert {"a", "b", "c"} == set(names)
+
+
+class TestSharedDescriptor:
+    def test_parameterless_reports_share_their_mutators_descriptor(self):
+        suite = get_suite("fourier")
+        _, reports = run_suite(suite, SuiteConfig(iterations=60))
+        identity = [r.mutation for r in reports if r.mutation.name == "identity"]
+        drawn = [r.mutation for r in reports if r.mutation.name == "add_constant"]
+        assert identity and drawn
+        assert all(m is IDENTITY_MUTATOR.descriptor for m in identity)
+        assert IDENTITY_MUTATOR.descriptor == core.MutationDescriptor("identity", {})
+        assert len({id(m) for m in drawn}) == len(drawn)
+        assert all(m.parameters for m in drawn)
+
+    def test_mutators_compare_without_their_descriptor(self):
+        apply = IDENTITY_MUTATOR.apply
+        assert Mutator("identity", apply) == IDENTITY_MUTATOR
+        assert hash(Mutator("identity", apply)) == hash(IDENTITY_MUTATOR)
+        assert "descriptor" not in repr(IDENTITY_MUTATOR)
+        assert dataclasses.replace(IDENTITY_MUTATOR, name="other").descriptor.name == "other"
+
+    def test_copied_and_unpickled_shared_descriptor_reports_render_the_same_record(self):
+        suite = get_suite("reciprocal")
+        report = run_trial(suite, SuiteConfig(), 0)
+        assert report.mutation is IDENTITY_MUTATOR.descriptor
+        line = render_records([report], suite)
+        for copied in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert copied == report
+            assert render_records([copied], suite) == line
+
+    def test_run_suite_keeps_at_most_320_bytes_per_report(self):
+        # 2,000 reciprocal reports each hold three floats, a shared verdict
+        # and their mutator's shared descriptor: about 256 bytes, where a
+        # descriptor and parameter dict per report made it about 368.
+        suite, config = get_suite("reciprocal"), SuiteConfig(iterations=2000, variant_id="off_by_eps")
+        run_suite(suite, dataclasses.replace(config, iterations=5, master_seed=1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, reports = run_suite(suite, config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 2000
+        assert retained <= 320 * 2000
 
 
 @pytest.mark.parametrize(

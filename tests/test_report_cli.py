@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -80,8 +81,8 @@ class TestReportRecords:
         _, second = run_suite(suite, cfg)
         assert render_records(first, suite) == render_records(second, suite)
 
-    # The first batch holds 16 records and the later ones about 170 each.
-    @pytest.mark.parametrize("count", [0, 1, 16, 17, 256, 257, 640])
+    # The first batch holds 1 record and the later ones about 170 each.
+    @pytest.mark.parametrize("count", [0, 1, 2, 16, 17, 256, 257, 640])
     def test_batched_write_matches_one_render(self, tmp_path, count):
         suite = get_suite("reciprocal")
         _, reports = run_suite(suite, SuiteConfig(iterations=640, variant_id="off_by_eps"))
@@ -118,7 +119,31 @@ class TestReportRecords:
         monkeypatch.setattr(report, "render_records", spy)
         path = tmp_path / "out.jsonl"
         write_report(str(path), reports, suite)
-        assert batches == [16, 1, 1, 1, 1]
+        assert batches == [1] * 20
+        assert path.read_bytes() == render_records(reports, suite).encode("utf-8")
+
+    # Each long record is written alone; from the first short one on,
+    # batches grow fourfold up to about 64 KiB of text per call.
+    @pytest.mark.parametrize("long_records", [0, 3])
+    def test_short_records_go_about_a_batch_per_call(self, tmp_path, monkeypatch, long_records):
+        suite = get_suite("reciprocal")
+        _, reports = run_suite(suite, SuiteConfig(iterations=2000, variant_id="off_by_eps"))
+        reports[:long_records] = [
+            dataclasses.replace(r, m1="x" * _BATCH_BYTES) for r in reports[:long_records]
+        ]
+        sizes = []
+
+        def spy(batch, suite):
+            text = render_records(batch, suite)
+            sizes.append((len(batch), len(text)))
+            return text
+
+        monkeypatch.setattr(report, "render_records", spy)
+        path = tmp_path / "out.jsonl"
+        write_report(str(path), reports, suite)
+        ramp = [1] * long_records + [1, 4, 16, 64]
+        assert [count for count, _ in sizes[:len(ramp)]] == ramp
+        assert all(0.9 * _BATCH_BYTES < chars < 1.1 * _BATCH_BYTES for _, chars in sizes[len(ramp):-1])
         assert path.read_bytes() == render_records(reports, suite).encode("utf-8")
 
     def test_unrepresentable_record_is_written_with_a_placeholder(self, tmp_path):
@@ -148,9 +173,10 @@ class TestReportRecords:
         monkeypatch.setattr(report, "render_records", tagged)
         path = tmp_path / "out.jsonl"
         write_report(str(path), reports, suite)
-        # 16 records gave a quarter of a batch's bytes, so the next holds 64.
-        assert calls == [16, 64, 20]
-        assert path.read_text() == text * 3
+        # Each batch gave a quarter of a batch's bytes, so the next holds
+        # four times as many records, the most a batch may grow.
+        assert calls == [1, 4, 16, 64, 15]
+        assert path.read_text() == text * 5
 
 
 # Text that JSON must escape: non-ASCII, quotes, backslashes, control
@@ -323,13 +349,32 @@ def _registered_echo(monkeypatch, name, **programs):
     return suite
 
 
-# Mutation parameters json.dumps or dict() cannot take, each with what the
-# record's "parameters" field and the replay transcript read for it.
+class _EmptyMapping(Mapping):
+    """A falsy mapping that is not a dict."""
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self):
+        return 0
+
+    def __repr__(self):
+        return "_EmptyMapping()"
+
+
+# Mutation parameters json.dumps or dict() cannot take, or that are empty
+# but not a dict, each with what the record's "parameters" field and the
+# replay transcript read for it.
 PARAMETER_SHAPES = {
     "huge_int": ({"k": 10**5000}, "<repr raised ValueError>", "<repr raised ValueError>"),
     "set": ({"k": {1}}, "{'k': {1}}", "{'k': {1}}"),
     "list": ([1, 2], "[1, 2]", "[1, 2]"),
     "none": (None, {}, "None"),
+    "empty_list": ([], {}, "[]"),
+    "empty_mapping": (_EmptyMapping(), {}, "_EmptyMapping()"),
 }
 
 
@@ -434,6 +479,17 @@ class TestCliRun:
         assert code == 0
         records = read_records(str(path))
         assert [r["mutation"] for r in records] == [{"name": "shaped", "parameters": in_record}] * 5
+
+    def test_any_mutation_parameters_keep_their_own_descriptor(self, shaped_parameters):
+        # Only an empty dict shares the mutator's descriptor; None, a list,
+        # a non-empty dict and a falsy mapping that is not a dict do not.
+        suite = get_suite("shaped_echo")
+        (mutator,) = suite.mutators
+        parameters = mutator.apply(None, None)[1]
+        _, reports = run_suite(suite, SuiteConfig(iterations=3))
+        for r in reports:
+            assert r.mutation is not mutator.descriptor
+            assert r.mutation.name == "shaped" and r.mutation.parameters is parameters
 
     def test_run_hands_write_report_the_list_of_reports(self, tmp_path, capsys, monkeypatch):
         # A traced run counts records by replacing cli.write_report.
@@ -599,6 +655,11 @@ class TestCliReplay:
         code = main(["replay", "--suite", "shaped_echo", "--trial-seed", "1"])
         assert code == 0
         assert f"mutation:   shaped {in_transcript}\n" in capsys.readouterr().out
+
+    def test_replay_prints_a_shared_identity_descriptor_as_before(self, capsys):
+        code = main(["replay", "--suite", "reciprocal", "--trial-seed", "1"])
+        assert code == 0
+        assert "mutation:   identity {}\n" in capsys.readouterr().out
 
     def test_replay_matches_reported_failure(self, tmp_path, capsys):
         path = tmp_path / "r.jsonl"
