@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Any, Sequence
 
-from .core import ConfigError, TrialContext, _is_real
+from .core import ConfigError, TrialContext, builtin_value
 
 __all__ = ["ExternalProgramError", "ExternalProgram"]
 
@@ -67,7 +67,7 @@ class ExternalProgram:
         if role not in ("forward", "backward"):
             raise ConfigError(f"role must be 'forward' or 'backward', got {role!r}")
         # select() cannot wait longer than TIMEOUT_MAX, nor on NaN.
-        if not (_is_real(timeout) and 0 < timeout <= threading.TIMEOUT_MAX):
+        if builtin_value(timeout) is None or not 0 < timeout <= threading.TIMEOUT_MAX:
             raise ConfigError(
                 f"timeout must be a number of seconds in (0, {threading.TIMEOUT_MAX}], "
                 f"got {timeout!r}"

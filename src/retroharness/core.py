@@ -31,6 +31,9 @@ __all__ = [
     "Verdict",
     "relation_detail",
     "safe_repr",
+    "builtin_value",
+    "builtin_items",
+    "within",
     "MutationDescriptor",
     "Mutator",
     "IDENTITY_MUTATOR",
@@ -348,12 +351,6 @@ class SuiteSummary:
     wall_time: float = field(compare=False, default=0.0)
 
 
-def _is_real(value, kinds=(int, float)) -> bool:
-    """Type check for a returned or configured value: an instance of
-    ``kinds``, never a bool."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 # Each built-in type a relation judges, with that type's own conversion.  The
 # container copies read the stored items, not the subclass's __iter__/__len__.
 _CONVERSIONS = (
@@ -366,28 +363,43 @@ _CONVERSIONS = (
 )
 
 
-def _builtin(value, kinds=(int, float)):
-    """The built-in value of ``value`` if it is an instance of ``kinds``
-    (built-in types among int, float, complex, str, list and tuple) and not
-    a bool, else None.  A subclass instance converts by its base type's own
-    method (``float.__float__``, ``list.copy`` and the like), which runs
-    none of the subclass's methods, so a relation judges the value returned,
-    never the returned object's operators."""
+def builtin_value(value, kinds=(int, float)):
+    """The built-in value of ``value`` if it is an instance of ``kinds`` (a
+    tuple of built-in types among int, float, complex, str, list and tuple)
+    and not a bool, else None: the one rule by which relations, trusted
+    programs and config checks read a value.  A subclass instance converts
+    by its base type's own method (``float.__float__``, ``list.copy`` and
+    the like), which runs none of the subclass's methods, so a relation
+    judges the value returned, never the returned object's operators."""
     if type(value) in kinds:
         return value
-    if _is_real(value, kinds):
+    if isinstance(value, kinds) and not isinstance(value, bool):
         for kind, convert in _CONVERSIONS:
             if isinstance(value, kind):
                 return convert(value)
     return None
 
 
-def _within(actual, expected, tol, kinds=(int, float)) -> bool:
+def builtin_items(value, length=None, kinds=(int, float)):
+    """The stored items of a list or tuple ``value``, as a list of their
+    built-in values (:func:`builtin_value`), or None when ``value`` is
+    another type, does not hold ``length`` items (if given), or holds an
+    item that is not of ``kinds``."""
+    items = builtin_value(value, (list, tuple))
+    if items is None or length is not None and len(items) != length:
+        return None
+    if set(map(type, items)).issubset(kinds):
+        return list(items)
+    items = [builtin_value(item, kinds) for item in items]
+    return None if None in items else items
+
+
+def within(actual, expected, tol, kinds=(int, float)) -> bool:
     """The numeric relations' one tolerance rule: ``actual`` is a ``kinds``
     number, never a bool or NaN, whose built-in value is at most ``tol``
     from ``expected``."""
     if type(actual) not in kinds:
-        actual = _builtin(actual, kinds)
+        actual = builtin_value(actual, kinds)
         if actual is None:
             return False
     try:
@@ -400,7 +412,7 @@ def _within(actual, expected, tol, kinds=(int, float)) -> bool:
 
 def _check_type(name: str, value, kind: type) -> None:
     """Raise ConfigError unless ``value`` is a ``kind``; a float takes an int."""
-    if not _is_real(value, (int, float) if kind is float else kind):
+    if builtin_value(value, (int, float) if kind is float else (kind,)) is None:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
@@ -479,9 +491,10 @@ def replay_trial(suite: SuiteDefinition, config: SuiteConfig, trial_seed: int) -
     The configuration is validated first, as :func:`run_suite` does.
     """
     config.validate(suite)
-    if not (_is_real(trial_seed, int) and 0 <= trial_seed < 2**64):
+    seed = builtin_value(trial_seed, (int,))
+    if seed is None or not 0 <= seed < 2**64:
         raise ConfigError("trial_seed must be an unsigned 64-bit integer")
-    return _execute(suite, config, trial_index=0, trial_seed=trial_seed)
+    return _execute(suite, config, trial_index=0, trial_seed=seed)
 
 
 def run_suite(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import Mode, Mutator, SuiteDefinition, TrialContext, Variant, _builtin, _within
+from ..core import Mode, Mutator, SuiteDefinition, TrialContext, Variant, builtin_value, within
 
 __all__ = [
     "sine_forward_suite",
@@ -39,9 +39,7 @@ def _arcsin_trusted(t: float, ctx: TrialContext) -> float | None:
     # Return None for a forward output that is not a real number or is NaN
     # (which the clamp would make -1), and clamp an out-of-range one, so that
     # both surface as relation violations, not crashes of this trusted program.
-    # Only the built-in value is compared, so no method of the output runs.
-    if type(t) is not float:
-        t = _builtin(t)
+    t = builtin_value(t)
     if t is None or t != t:
         return None
     return math.asin(min(1.0, max(-1.0, t)))
@@ -52,7 +50,7 @@ def _arcsin_ulp_spread(t) -> float:
     [-1, 1]: what a correctly rounded sine can shift the round trip by.
     Near |t| = 1 arcsin's slope makes this far more than ``eps``.  A ``t``
     that is not a float, or is NaN, adds nothing."""
-    t = _builtin(t, (float,))
+    t = builtin_value(t, (float,))
     if t is None or t != t:
         return 0.0
     below, above = (min(1.0, max(-1.0, math.nextafter(t, side))) for side in (-math.inf, math.inf))
@@ -67,7 +65,7 @@ def sine_forward_suite() -> SuiteDefinition:
 
     def relation(x, x_prime, mutation, ctx) -> bool:
         # Only a failing check pays for the forward's rounding slack.
-        return _within(x_prime, x, ctx.eps * max(1.0, abs(x))) or _within(
+        return within(x_prime, x, ctx.eps * max(1.0, abs(x))) or within(
             x_prime, x, ctx.eps * max(1.0, abs(x)) + _arcsin_ulp_spread(ctx.m2_mutated)
         )
 
@@ -96,7 +94,7 @@ def sine_backward_suite() -> SuiteDefinition:
         return angle + 2.0 * math.pi * k, {"k": k}
 
     def relation(t, t_prime, mutation, ctx) -> bool:
-        return _within(t_prime, t, EPS_TRIG)
+        return within(t_prime, t, EPS_TRIG)
 
     return SuiteDefinition(
         name="sine_backward",
@@ -135,7 +133,7 @@ def reciprocal_integrated_suite() -> SuiteDefinition:
                 return x
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        return _within(x_prime, x, ctx.eps * max(1.0, x * x))
+        return within(x_prime, x, ctx.eps * max(1.0, x * x))
 
     return SuiteDefinition(
         name="reciprocal",

@@ -2,8 +2,8 @@
 
 Pollard's rho plays the forward program under test; trusted integer
 multiplication plays the backward program.  The relation checks that the
-returned factors are integers that multiply back to the input, and the
-strict profile additionally requires every factor to be prime.
+returned factors are integers of at least 2 that multiply back to the
+input; the strict profile also requires every factor to be prime.
 
 The seeded bug ("gcd_x") computes the candidate divisor as
 gcd(|x - y|, x) instead of gcd(|x - y|, n).  The extracted "divisor" then
@@ -24,9 +24,8 @@ from ..core import (
     SuiteDefinition,
     TrialContext,
     Variant,
-    _builtin,
-    _is_real,
     _variant,
+    builtin_items,
 )
 from ..generators import Rng
 
@@ -158,9 +157,9 @@ def pollards_rho(
 def factorization_suite(strict: bool = False) -> SuiteDefinition:
     """Forward-mode suite over n in [2, 10^12].
 
-    The plain relation checks that the returned factors are ``int``s whose
-    product is n; the strict profile also requires every factor to pass
-    the primality test.
+    The plain relation checks that the returned factors are ``int``s of at
+    least 2 whose product is n; the strict profile also requires every
+    factor to pass the primality test.
     """
 
     def generate(ctx: TrialContext) -> int:
@@ -174,24 +173,17 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
 
     def backward(factors, ctx: TrialContext) -> int | None:
         # Forward output that is not a list of numbers is the forward's
-        # fault: return None, which the relation reports as a violation.  The
-        # product is of the built-in values, so no method of the returned
-        # list or of its factors runs.
-        factors = _builtin(factors, (list, tuple))
-        if factors is None:
-            return None
-        values = list(map(_builtin, factors))
-        return None if None in values else math.prod(values)
+        # fault: return None, which the relation reports as a violation.
+        factors = builtin_items(factors)
+        return None if factors is None else math.prod(factors)
 
     def relation(n, n_prime, mutation, ctx) -> bool:
-        return n_prime == n and all(
-            _is_real(f, int) for f in _builtin(ctx.m2_mutated, (list, tuple))
-        )
+        factors = builtin_items(ctx.m2_mutated, kinds=(int,))
+        return n_prime == n and factors is not None and min(factors, default=2) >= 2
 
     def relation_strict(n, n_prime, mutation, ctx) -> bool:
-        return relation(n, n_prime, mutation, ctx) and all(
-            map(is_prime, map(_builtin, _builtin(ctx.m2_mutated, (list, tuple))))
-        )
+        factors = builtin_items(ctx.m2_mutated, kinds=(int,))
+        return n_prime == n and factors is not None and all(map(is_prime, factors))
 
     return SuiteDefinition(
         name="factorization_strict" if strict else "factorization",

@@ -45,9 +45,9 @@ from ..core import (
     TrialContext,
     Variant,
     Verdict,
-    _builtin,
     _variant,
-    _within,
+    builtin_items,
+    within,
 )
 from ..generators import gen_real_sequence
 
@@ -114,9 +114,9 @@ def idft(x, variant: str = "correct") -> list[complex]:
 
 def _first_miss(actual, expected, eps: float) -> int | None:
     """Index of the first value in ``actual`` that is not a number within
-    ``eps`` of its expected value (``core._within``), or None."""
+    ``eps`` of its expected value (:func:`core.within`), or None."""
     for i, (a, e) in enumerate(zip(actual, expected)):
-        if not _within(a, e, eps, (int, float, complex)):
+        if not within(a, e, eps, (int, float, complex)):
             return i
     return None
 
@@ -151,8 +151,8 @@ def fourier_suite() -> SuiteDefinition:
         return [value + c for value in spectrum], {"c": c}
 
     def relation(x, x_prime, mutation, ctx) -> bool:
-        x_prime = _builtin(x_prime, (list, tuple))
-        if x_prime is None or len(x_prime) != len(x):
+        x_prime = builtin_items(x_prime, len(x), (int, float, complex))
+        if x_prime is None:
             return False
         c = mutation.parameters.get("c", 0.0)
         return _first_miss(x_prime, [x[0] + c, *x[1:]], ctx.eps) is None

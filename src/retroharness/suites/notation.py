@@ -10,7 +10,7 @@ whose tree is not mirror-symmetric is detected.
 
 from __future__ import annotations
 
-from ..core import Mode, SuiteDefinition, TrialContext, Variant, _builtin, _variant
+from ..core import Mode, SuiteDefinition, TrialContext, Variant, _variant, builtin_value
 from ..expr import OPERATORS
 from ..generators import gen_postfix
 
@@ -96,11 +96,7 @@ def notation_suite() -> SuiteDefinition:
         return prefix_to_postfix(s)
 
     def relation(s, s_prime, mutation, ctx) -> bool:
-        # Only a string's built-in value is compared (a non-string is None),
-        # so no __eq__ of the returned object runs.
-        if type(s_prime) is not str:
-            s_prime = _builtin(s_prime, (str,))
-        return s == s_prime
+        return s == builtin_value(s_prime, (str,))
 
     return SuiteDefinition(
         name="notation",

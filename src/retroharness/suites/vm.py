@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Mode, SuiteDefinition, TrialContext, Variant, _builtin, _variant
+from ..core import Mode, SuiteDefinition, TrialContext, Variant, _variant, builtin_value
 from ..expr import (
     APPLY,
     BinOp,
@@ -152,12 +152,9 @@ def vm_suite() -> SuiteDefinition:
         return decompile(code, "swap_sub")
 
     def relation(src, src_prime, mutation, ctx) -> bool:
-        # Only a string's built-in value is parsed or compared, so no method
-        # of the returned object runs.
-        if type(src_prime) is not str:
-            src_prime = _builtin(src_prime, (str,))
-            if src_prime is None:
-                return False
+        src_prime = builtin_value(src_prime, (str,))
+        if src_prime is None:
+            return False
         # The same text is the same tree, so it agrees under every environment.
         if src_prime == src:
             return True

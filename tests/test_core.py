@@ -466,6 +466,17 @@ def test_replay_matches_run_trial():
     assert replayed.verdict == original.verdict
 
 
+def test_replay_reads_the_seed_by_its_value():
+    class Seed(int):
+        def __and__(self, other):
+            return 0
+
+    suite = _echo_suite()
+    replayed = replay_trial(suite, SuiteConfig(), Seed(5))
+    assert replayed == replay_trial(suite, SuiteConfig(), 5)
+    assert type(replayed.trial_seed) is int
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

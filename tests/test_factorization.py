@@ -374,6 +374,18 @@ class TestFactorizationSuite:
         assert report.m1_prime == 6
         assert report.verdict.outcome is Outcome.VIOLATION
 
+    @pytest.mark.parametrize(
+        "factors",
+        [[-2, -6], [1, 12], [1, 2, 2, 3]],
+        ids=["negative_factors", "one_and_n", "one_among_primes"],
+    )
+    def test_plain_profile_rejects_a_factor_below_two(self, force_input, factors):
+        # Each multiplies back to 12, so only the factors' range tells it from [2, 2, 3].
+        suite = dataclasses.replace(factorization_suite(), forward=lambda value, ctx: list(factors))
+        report = force_input(suite, 12)
+        assert report.m1_prime == 12
+        assert report.verdict.outcome is Outcome.VIOLATION
+
     @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
     def test_factor_whose_product_lies_is_violation(self, force_input, strict):
         # 1 * Twelve(3) runs Twelve.__rmul__, which claims the product is 12.

@@ -1,4 +1,4 @@
-"""The numeric relations' one tolerance rule (``core._within``), pinned at
+"""The numeric relations' one tolerance rule (``core.within``), pinned at
 its boundary.
 
 Each relation is judged at an expected value and tolerance for which the
