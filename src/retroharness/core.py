@@ -272,7 +272,10 @@ class SuiteConfig:
     """Run parameters: trial count, master seed, tolerance, work bound.
 
     Each field must have its default's type (``eps`` may also be an int);
-    a bool is never accepted.
+    a bool is never accepted.  A field given as a subclass instance (an
+    ``int`` subclass seed, a numpy ``float64`` eps) is kept as its built-in
+    value (:func:`builtin_value`), so runs and replays never run its own
+    operators.
     """
 
     iterations: int = 1000
@@ -280,6 +283,12 @@ class SuiteConfig:
     eps: float = 1e-10
     step_cap: int = 10_000_000
     variant_id: str = "correct"
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = builtin_value(getattr(self, f.name), _kinds(type(f.default)))
+            if value is not None:
+                object.__setattr__(self, f.name, value)
 
     def validate(self, suite: SuiteDefinition) -> None:
         for f in fields(self):
@@ -410,9 +419,14 @@ def within(actual, expected, tol, kinds=(int, float)) -> bool:
         return False
 
 
+def _kinds(kind: type) -> tuple[type, ...]:
+    """The types a config value of ``kind`` may have; a float takes an int."""
+    return (int, float) if kind is float else (kind,)
+
+
 def _check_type(name: str, value, kind: type) -> None:
     """Raise ConfigError unless ``value`` is a ``kind``; a float takes an int."""
-    if builtin_value(value, (int, float) if kind is float else (kind,)) is None:
+    if builtin_value(value, _kinds(kind)) is None:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 

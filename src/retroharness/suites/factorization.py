@@ -171,11 +171,17 @@ def factorization_suite(strict: bool = False) -> SuiteDefinition:
     def forward_buggy(n: int, ctx: TrialContext) -> list[int]:
         return pollards_rho(n, "gcd_x", ctx.rng, ctx.step_cap)
 
-    def backward(factors, ctx: TrialContext) -> int | None:
-        # Forward output that is not a list of numbers is the forward's
-        # fault: return None, which the relation reports as a violation.
+    def backward(factors, ctx: TrialContext) -> int | float | None:
+        # Forward output that is not a list of numbers, or whose product
+        # overflows a float, is the forward's fault: return None, which
+        # the relation reports as a violation.
         factors = builtin_items(factors)
-        return None if factors is None else math.prod(factors)
+        if factors is None:
+            return None
+        try:
+            return math.prod(factors)
+        except OverflowError:
+            return None
 
     def relation(n, n_prime, mutation, ctx) -> bool:
         factors = builtin_items(ctx.m2_mutated, kinds=(int,))

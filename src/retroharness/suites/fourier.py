@@ -17,13 +17,15 @@ numpy is imported at the first transform, not with the module, so a process
 that never runs a transform never loads it.
 
 Each transform multiplies by the matrix exp(coef*pi/N * k*j), built from
-two tables: the exponentials of the distinct products k*j, and an index of
-each product in them.  For lengths up to ``MAX_LENGTH`` (64, the longest
-generated input) the tables are built once per process per (length,
-coefficient) on first use, about 2.5 MB for all of them.  Longer inputs
-build the same tables per call and keep nothing.  Either way every matrix
-entry is the same ``exp`` of the same argument, so results are
-bit-identical to building the matrix per call.
+two tables: the exponentials ("twiddles") of the distinct products k*j,
+and an index of each product in them.  The index depends only on the
+length; the twiddles are kept for the forward coefficients only, since the
+inverse's are their complex conjugates.  For lengths up to ``MAX_LENGTH``
+(64, the longest generated input) each table is built once per process on
+first use, about 1.1 MiB for all 64 lengths and both variants.  Longer
+inputs build the same tables per call and keep nothing.  Either way every
+matrix entry is bit-identical to building the matrix per call with
+``np.exp``.
 
 Besides the round-trip suite, two baseline checks over the same inputs are
 provided for methodology comparison: a metamorphic relation (adding c to
@@ -71,26 +73,51 @@ _COEF = {"correct": -2j, "coef_minus_1j": -1j}
 MAX_LENGTH = 64
 
 
-def _tables(n: int, coef: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(twiddles, index)`` for which ``twiddles[index]`` is
-    ``np.exp(coef * np.pi / n * np.outer(k, k))`` bit for bit: ``twiddles``
-    holds the ``exp`` of each distinct product k*j (0 <= k, j < n), and the
-    n x n ``index`` places each product in it."""
+def _index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(products, index)``: the sorted distinct products k*j
+    (0 <= k, j < n), and the n x n ``index`` placing each product in them.
+    Product 0 is always first."""
     import numpy as np
 
-    k = np.arange(n)
+    # The narrowest type that holds the largest product, (n - 1)**2.
+    k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
     products, index = np.unique(np.outer(k, k), return_inverse=True)
-    twiddles = np.exp(coef * np.pi / n * products)
     index = index.reshape(n, n).astype(np.min_scalar_type(products.size - 1))
-    twiddles.flags.writeable = index.flags.writeable = False
+    products.flags.writeable = index.flags.writeable = False
+    return products, index
+
+
+# Built on first use per length and shared by every coefficient.
+_kept_index = functools.cache(_index)
+
+
+def _tables(n: int, coef: complex, index_of=_index) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(twiddles, index)`` for which ``twiddles[index]`` is
+    ``np.exp(coef * np.pi / n * np.outer(k, k))`` bit for bit: ``twiddles``
+    holds the ``exp`` of each distinct product k*j, in ``index_of(n)``'s
+    order."""
+    import numpy as np
+
+    products, index = index_of(n)
+    twiddles = np.exp(coef * np.pi / n * products)
+    twiddles.flags.writeable = False
     return twiddles, index
 
 
-# Built on first use per (n, coef) and kept for the process.
-_kept_tables = functools.cache(_tables)
+# Built on first use per (n, forward coefficient) and kept for the process.
+@functools.cache
+def _kept_tables(n: int, coef: complex) -> tuple[np.ndarray, np.ndarray]:
+    return _tables(n, coef, _kept_index)
 
 
-def _transform(x, coef: complex) -> np.ndarray:
+def _transform(x, coef: complex, inverse: bool = False) -> np.ndarray:
+    """The transform of ``x`` by the matrix exp(coef*pi/N * k*j), or by
+    its inverse's, exp(-coef*pi/N * k*j), when ``inverse``.
+
+    The inverse twiddles are the forward's conjugates, which equal
+    ``exp(-coef*pi/N * p)`` bit for bit except at product 0, where the
+    conjugate of ``1+0j`` reads ``1-0j``; that entry is set to ``1``.
+    """
     import numpy as np
 
     a = np.asarray(list(x), dtype=complex)
@@ -98,6 +125,9 @@ def _transform(x, coef: complex) -> np.ndarray:
         raise ValueError("empty sequence")
     build = _kept_tables if a.size <= MAX_LENGTH else _tables
     twiddles, index = build(a.size, coef)
+    if inverse:
+        twiddles = np.conjugate(twiddles)
+        twiddles[0] = 1
     return np.take(twiddles, index) @ a
 
 
@@ -108,7 +138,7 @@ def dft(x, variant: str = "correct") -> list[complex]:
 
 def idft(x, variant: str = "correct") -> list[complex]:
     """Inverse transform: conjugated exponent and 1/N scaling."""
-    y = _transform(x, -_variant(_COEF, variant))
+    y = _transform(x, _variant(_COEF, variant), inverse=True)
     return (y / y.size).tolist()
 
 

@@ -595,6 +595,53 @@ def test_bad_configuration_raises_config_error(call, message):
         call()
 
 
+class _XorZero(int):
+    def __xor__(self, other):
+        return 0
+
+    __rxor__ = __xor__
+
+
+class _AlwaysEqual(str):
+    def __eq__(self, other):
+        return True
+
+    __hash__ = str.__hash__
+
+
+def test_subclass_config_fields_run_as_their_builtin_values():
+    # Each operator would change the run if it ran: the seed's ^ reads 0,
+    # the eps's <= always holds, and the variant name equals every key.
+    class LenientEps(float):
+        def __ge__(self, other):
+            return True
+
+        __le__ = __ge__
+
+    config = SuiteConfig(iterations=3, master_seed=_XorZero(42), eps=LenientEps(1e-10),
+                         step_cap=_XorZero(10_000), variant_id=_AlwaysEqual("off_by_eps"))
+    assert [type(getattr(config, f.name)) for f in dataclasses.fields(config)] == [
+        int, int, float, int, str
+    ]
+    plain = SuiteConfig(iterations=3, master_seed=42, step_cap=10_000, variant_id="off_by_eps")
+    summary, reports = run_suite(get_suite("reciprocal"), config)
+    want_summary, want = run_suite(get_suite("reciprocal"), plain)
+    assert len({r.m1 for r in reports}) == 3
+    assert reports == want and summary == want_summary
+    seed = want[1].trial_seed
+    assert replay_trial(get_suite("reciprocal"), config, seed) == replay_trial(
+        get_suite("reciprocal"), plain, seed
+    )
+
+
+def test_numpy_float64_eps_runs_as_a_float():
+    np = pytest.importorskip("numpy")
+    config = SuiteConfig(iterations=5, eps=np.float64(1e-10))
+    assert type(config.eps) is float and config.eps == 1e-10
+    summary, _ = run_suite(get_suite("reciprocal"), config)
+    assert summary == run_suite(get_suite("reciprocal"), SuiteConfig(iterations=5))[0]
+
+
 def test_largest_int_eps_in_float_range_runs():
     # The largest float, as an int, still mixes with floats in a relation.
     summary, _ = run_suite(get_suite("reciprocal"),

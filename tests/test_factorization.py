@@ -402,6 +402,17 @@ class TestFactorizationSuite:
         assert report.m1_prime == 3
         assert report.verdict.outcome is Outcome.VIOLATION
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    def test_factors_whose_product_overflows_a_float_are_a_violation(self, force_input, strict):
+        # 10**400 * 0.5 cannot convert the int to a float; the trusted
+        # backward must blame the forward's output, not raise.
+        suite = dataclasses.replace(
+            factorization_suite(strict=strict), forward=lambda value, ctx: [10**400, 0.5]
+        )
+        report = force_input(suite, 12)
+        assert report.m1_prime is None
+        assert report.verdict.outcome is Outcome.VIOLATION
+
     def test_strict_profile_judges_a_factor_that_poses_as_prime_by_value(self, force_input):
         # 4 % p reads 0 and 4 == p reads True, so is_prime(PosingPrime(4))
         # would return True if it ran the factor's own operators.

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,3 +378,45 @@ class TestTwiddleTables:
         expected = list(first)
         first[:] = [complex(99)] * len(first)
         assert dft(seq) == expected
+
+    @pytest.mark.parametrize("variant", sorted(fourier._COEF))
+    @pytest.mark.parametrize("n", [*range(1, 65), 65, 100, 128])
+    def test_matrices_are_the_exponentials_bit_for_bit(self, n, variant, monkeypatch):
+        coef = fourier._COEF[variant]
+        k = np.arange(n)
+        take = np.take
+        seen = []
+
+        def kept_take(twiddles, index):
+            seen.append(take(twiddles, index))
+            return seen[-1]
+
+        for transform, exponent in ((dft, coef), (idft, -coef)):
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "take", kept_take)
+                transform([0.0] * n, variant)
+            want = np.exp(exponent * np.pi / n * np.outer(k, k))
+            assert len(seen) == 1 and seen[0].tobytes() == want.tobytes(), transform
+
+    @pytest.mark.parametrize("variant", sorted(fourier._COEF))
+    def test_inverse_adds_no_kept_table(self, variant):
+        dft([1.0] * 9, variant)
+        before = fourier._kept_tables.cache_info(), fourier._kept_index.cache_info()
+        idft([1.0] * 9, variant)
+        after = fourier._kept_tables.cache_info(), fourier._kept_index.cache_info()
+        assert [info.currsize for info in after] == [info.currsize for info in before]
+
+    def test_kept_tables_for_every_length_fit_their_budget(self):
+        fourier._kept_tables.cache_clear()
+        fourier._kept_index.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(1, fourier.MAX_LENGTH + 1):
+                for variant in fourier._COEF:
+                    idft(dft([1.0] * n, variant), variant)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fourier._kept_tables.cache_info().currsize == 2 * fourier.MAX_LENGTH
+        assert kept <= 1.4 * 2**20
