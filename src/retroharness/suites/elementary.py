@@ -86,12 +86,16 @@ def sine_forward_suite() -> SuiteDefinition:
 def sine_backward_suite() -> SuiteDefinition:
     """Backward mode: sin(arcsin(t) + 2k*pi) = t on [-1, 1]."""
 
+    # One parameter dict per whole-turn count, shared by every report that
+    # draws it, so a kept report holds no dict of its own.
+    turns = {k: {"k": k} for k in range(-3, 4)}
+
     def generate(ctx: TrialContext) -> float:
         return ctx.rng.uniform(-1.0, 1.0)
 
     def add_whole_turns(angle: float, ctx: TrialContext):
         k = ctx.rng.randint(-3, 3)
-        return angle + 2.0 * math.pi * k, {"k": k}
+        return angle + 2.0 * math.pi * k, turns[k]
 
     def relation(t, t_prime, mutation, ctx) -> bool:
         return within(t_prime, t, EPS_TRIG)

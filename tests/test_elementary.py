@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -122,6 +124,28 @@ class TestSineBackward:
             sine_backward_suite(), SuiteConfig(iterations=1000, variant_id="taylor3")
         )
         assert summary.violations >= 1
+
+    def test_reports_share_seven_parameter_dicts(self):
+        # 2,000 reports share the seven {"k": k} dicts and hold about 331
+        # bytes each, where a parameter dict per report made it about 515.
+        suite, config = sine_backward_suite(), SuiteConfig(iterations=2000)
+        run_suite(suite, dataclasses.replace(config, iterations=5, master_seed=1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, reports = run_suite(suite, config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 2000
+        assert retained <= 360 * 2000
+        shared = {id(r.mutation.parameters): r.mutation.parameters for r in reports}
+        assert len(shared) <= 7
+        assert all(p == {"k": p["k"]} and -3 <= p["k"] <= 3 for p in shared.values())
+        for r in reports:
+            assert r.m2_mutated == r.m2 + 2.0 * math.pi * r.mutation.parameters["k"]
 
 
 class TestReciprocal:

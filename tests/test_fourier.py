@@ -407,6 +407,23 @@ class TestTwiddleTables:
         after = fourier._kept_tables.cache_info(), fourier._kept_index.cache_info()
         assert [info.currsize for info in after] == [info.currsize for info in before]
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("variant", sorted(fourier._COEF))
+    def test_length_64_halves_give_the_unsplit_product_bit_for_bit(self, variant, inverse):
+        coef = fourier._COEF[variant]
+        twiddles, index = fourier._kept_tables(64, coef)
+        if inverse:
+            twiddles = np.conjugate(twiddles)
+            twiddles[0] = 1
+        matrix = np.take(twiddles, index)
+        rng = np.random.default_rng(64)
+        for _ in range(50):
+            real = rng.uniform(-1.0, 1.0, 64)
+            for x in (real, real + 1j * rng.uniform(-1.0, 1.0, 64)):
+                got = fourier._transform(x.tolist(), coef, inverse)
+                want = matrix @ x.astype(complex)
+                assert got.tobytes() == want.tobytes()
+
     def test_kept_tables_for_every_length_fit_their_budget(self):
         fourier._kept_tables.cache_clear()
         fourier._kept_index.cache_clear()
