@@ -85,7 +85,7 @@ OPERATORS = "".join(APPLY)
 
 
 # Digit and variable leaves by their one-character spelling.  Nodes are
-# frozen, so every parse shares these.
+# frozen, so parsed, generated and decompiled trees all share these.
 _LEAVES = {
     **{digit: Const(int(digit)) for digit in "0123456789"},
     **{name: Var(name) for name in VARIABLES},

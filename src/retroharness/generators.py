@@ -12,7 +12,7 @@ from __future__ import annotations
 import string
 from typing import Iterable, Sequence
 
-from .expr import OPERATORS, VARIABLES, BinOp, Const, ExprNode, Var
+from .expr import _LEAVES, OPERATORS, VARIABLES, BinOp, ExprNode
 
 __all__ = [
     "Rng",
@@ -125,13 +125,15 @@ def gen_postfix(rng: Rng, max_internal_nodes: int = 6) -> str:
 
 
 def gen_expr_ast(rng: Rng, max_depth: int = 4) -> ExprNode:
-    """Random expression tree over constants 0-9, variables a-e, ``+-*/``."""
+    """Random expression tree over constants 0-9, variables a-e, ``+-*/``.
+    Its leaves are the parser's shared ``Const`` and ``Var`` nodes."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_depth == 1 or rng.random() < 0.25:
+        # choice over ten digits draws as randint(0, 9) does.
         if rng.random() < 0.5:
-            return Const(rng.randint(0, 9))
-        return Var(rng.choice(VARIABLES))
+            return _LEAVES[rng.choice(string.digits)]
+        return _LEAVES[rng.choice(VARIABLES)]
     op = rng.choice(OPERATORS)
     return BinOp(op, gen_expr_ast(rng, max_depth - 1), gen_expr_ast(rng, max_depth - 1))
 

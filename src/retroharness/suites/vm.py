@@ -17,17 +17,18 @@ from dataclasses import dataclass
 
 from ..core import Mode, SuiteDefinition, TrialContext, Variant, _variant, builtin_value
 from ..expr import (
+    _LEAVES,
     APPLY,
     BinOp,
     Const,
     EvalError,
     ExprNode,
     ExprSyntaxError,
+    VARIABLES,
     Var,
     eval_ast,
     parse_infix,
     print_infix,
-    variables,
 )
 from ..generators import gen_env, gen_expr_ast
 
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 _BINARY_OPS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/"}
-_OP_MNEMONIC = {op: mnemonic for mnemonic, op in _BINARY_OPS.items()}
 
 ENVS_PER_TRIAL = 8
 
@@ -54,17 +54,38 @@ class Instr:
     arg: int | str | None = None
 
 
+# The shared leaves by operand, and one shared instruction per leaf and per
+# operator.  Leaf lookups go by exact type: True == 1, but PUSH True must
+# stay PUSH True, so any other operand gets a fresh node or instruction.
+_CONST_LEAVES = {leaf.value: leaf for leaf in _LEAVES.values() if type(leaf) is Const}
+_VAR_LEAVES = {leaf.name: leaf for leaf in _LEAVES.values() if type(leaf) is Var}
+_PUSH = {value: Instr("PUSH", value) for value in _CONST_LEAVES}
+_LOAD = {name: Instr("LOAD", name) for name in _VAR_LEAVES}
+_OPERATOR_CODE = {op: Instr(mnemonic) for mnemonic, op in _BINARY_OPS.items()}
+
+
 def compile_expr(node: ExprNode) -> list[Instr]:
-    """Post-order code emission: left, right, operator."""
-    if isinstance(node, Const):
-        return [Instr("PUSH", node.value)]
-    if isinstance(node, Var):
-        return [Instr("LOAD", node.name)]
-    return (
-        compile_expr(node.left)
-        + compile_expr(node.right)
-        + [Instr(_OP_MNEMONIC[node.op])]
-    )
+    """Post-order code emission: left, right, operator.  Each call returns a
+    fresh list; its digit, variable and operator instructions are shared."""
+    code: list[Instr] = []
+    emit = code.append
+
+    def walk(node: ExprNode) -> None:
+        if isinstance(node, Const):
+            value = node.value
+            instr = _PUSH.get(value) if type(value) is int else None
+            emit(Instr("PUSH", value) if instr is None else instr)
+        elif isinstance(node, Var):
+            name = node.name
+            instr = _LOAD.get(name) if type(name) is str else None
+            emit(Instr("LOAD", name) if instr is None else instr)
+        else:
+            walk(node.left)
+            walk(node.right)
+            emit(_OPERATOR_CODE[node.op])
+
+    walk(node)
+    return code
 
 
 def _run_stack(code: list[Instr], const, load, node):
@@ -107,6 +128,17 @@ def run_vm(code: list[Instr], env: dict[str, int]) -> int:
     return _run_stack(code, int, load, lambda op, left, right: APPLY[op](left, right))
 
 
+def _const_leaf(value: int) -> Const:
+    # _run_stack hands over int(arg), always an exact int.
+    leaf = _CONST_LEAVES.get(value)
+    return Const(value) if leaf is None else leaf
+
+
+def _var_leaf(name) -> Var:
+    leaf = _VAR_LEAVES.get(name) if type(name) is str else None
+    return Var(str(name)) if leaf is None else leaf
+
+
 def decompile(code: list[Instr], variant: str = "correct") -> str:
     """Rebuild source text by symbolic stack execution.
 
@@ -119,7 +151,7 @@ def decompile(code: list[Instr], variant: str = "correct") -> str:
             left, right = right, left
         return BinOp(op, left, right)
 
-    return print_infix(_run_stack(code, Const, lambda name: Var(str(name)), node))
+    return print_infix(_run_stack(code, _const_leaf, _var_leaf, node))
 
 
 def _observe(node: ExprNode, env: dict[str, int]) -> tuple[str, object]:
@@ -139,11 +171,18 @@ def vm_suite() -> SuiteDefinition:
     is a violation, since unparsable source is observable misbehavior.
     """
 
+    # The text forward parsed last and its tree: the relation of the same
+    # trial reads the original's tree from here instead of parsing it again.
+    parsed = (None, None)
+
     def generate(ctx: TrialContext) -> str:
         return print_infix(gen_expr_ast(ctx.rng, max_depth=4))
 
     def forward(src: str, ctx: TrialContext) -> list[Instr]:
-        return compile_expr(parse_infix(src))
+        nonlocal parsed
+        tree = parse_infix(src)
+        parsed = (src, tree)
+        return compile_expr(tree)
 
     def backward_correct(code: list[Instr], ctx: TrialContext) -> str:
         return decompile(code, "correct")
@@ -158,12 +197,15 @@ def vm_suite() -> SuiteDefinition:
         # The same text is the same tree, so it agrees under every environment.
         if src_prime == src:
             return True
-        original = parse_infix(src)
+        text, original = parsed
+        if text is not src:
+            original = parse_infix(src)
         try:
             returned = parse_infix(src_prime)
         except (ExprSyntaxError, RecursionError):
             return False
-        names = variables(original) | variables(returned)
+        # Both texts parsed, so their letters are exactly their variables.
+        names = set(src + src_prime).intersection(VARIABLES)
         for _ in range(ENVS_PER_TRIAL):
             env = gen_env(ctx.rng, names)
             if _observe(original, env) != _observe(returned, env):

@@ -1,12 +1,16 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
-from retroharness.core import Outcome, SuiteConfig, Variant, run_suite
+from retroharness.core import Outcome, SuiteConfig, TrialContext, Variant, run_suite
 from retroharness.expr import (
+    _LEAVES,
+    VARIABLES,
     BinOp,
     Const,
     EvalError,
@@ -15,8 +19,10 @@ from retroharness.expr import (
     eval_ast,
     parse_infix,
     print_infix,
+    variables,
 )
 from retroharness.generators import Rng, gen_env, gen_expr_ast
+from retroharness.suites import vm
 from retroharness.suites.vm import (
     Instr,
     compile_expr,
@@ -116,6 +122,74 @@ class TestCompile:
             Instr("PUSH", 4),
             Instr("MUL"),
         ]
+
+
+def _leaves(tree):
+    if isinstance(tree, BinOp):
+        return _leaves(tree.left) + _leaves(tree.right)
+    return [tree]
+
+
+SHARED_LEAF_IDS = {id(leaf) for leaf in _LEAVES.values()}
+
+
+class TestSharing:
+    def test_equal_leaves_and_operators_are_one_instruction(self):
+        trees = [
+            parse_infix("(1+a)*(1-a)/e"),
+            parse_infix("a*1+a-e/9"),
+            BinOp("+", Const(1), Var("a")),
+            gen_expr_ast(Rng(3), 5),
+        ]
+        seen = {}
+        for tree in trees:
+            for instr in compile_expr(tree):
+                assert seen.setdefault(instr, instr) is instr
+
+    def test_each_call_returns_a_new_list(self):
+        tree = parse_infix("1+a")
+        first, second = compile_expr(tree), compile_expr(tree)
+        assert first is not second
+        first.append(Instr("ADD"))
+        assert second == [Instr("PUSH", 1), Instr("LOAD", "a"), Instr("ADD")]
+
+    def test_generated_and_decompiled_leaves_are_the_shared_ones(self, monkeypatch):
+        decompiled = []
+        monkeypatch.setattr(vm, "print_infix", lambda tree: decompiled.append(tree) or "")
+        rng = Rng(17)
+        for _ in range(200):
+            tree = gen_expr_ast(rng, 5)
+            decompile(compile_expr(tree), "swap_sub")
+            assert {id(leaf) for leaf in _leaves(tree)} <= SHARED_LEAF_IDS
+        assert len(decompiled) == 200
+        assert {id(leaf) for tree in decompiled for leaf in _leaves(tree)} <= SHARED_LEAF_IDS
+
+    def test_a_bool_constant_keeps_its_own_instruction(self):
+        (instr,) = compile_expr(Const(True))
+        assert instr.arg is True
+        assert compile_expr(Const(1))[0].arg is not True
+
+    def test_a_constant_past_the_digits_gets_a_fresh_leaf(self):
+        assert decompile([Instr("PUSH", 12)], "correct") == "12"
+        assert compile_expr(Const(12)) == [Instr("PUSH", 12)]
+
+    def test_run_suite_keeps_at_most_500_bytes_per_report(self):
+        # 2,000 vm reports each hold their source and decompiled text and a
+        # fresh list of shared instructions: about 440 bytes, where an
+        # instruction object per opcode made it about 780.
+        suite, config = vm_suite(), SuiteConfig(iterations=2000)
+        run_suite(suite, dataclasses.replace(config, iterations=5, master_seed=1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, reports = run_suite(suite, config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 2000
+        assert retained <= 500 * 2000
 
 
 class TestRunVm:
@@ -311,6 +385,34 @@ class TestVmSuite:
         suite = dataclasses.replace(vm_suite(), backward=lambda code, ctx: Posing("zzz"))
         report = force_input(suite, src)
         assert report.verdict.outcome is Outcome.VIOLATION
+
+    def test_each_text_is_parsed_once_per_trial(self, monkeypatch):
+        calls = []
+
+        def counting(src):
+            calls.append(src)
+            return parse_infix(src)
+
+        monkeypatch.setattr(vm, "parse_infix", counting)
+        config = SuiteConfig(iterations=500, master_seed=9, variant_id="swap_sub")
+        _, reports = run_suite(vm_suite(), config)
+        differing = sum(r.m1_prime != r.m1 for r in reports)
+        assert differing > 0
+        assert len(calls) == len(reports) + differing
+
+    def test_relation_parses_a_text_forward_did_not(self):
+        suite = vm_suite()
+        ctx = TrialContext(Rng(1), 1e-9, 1000)
+        suite.forward("a", ctx)
+        assert suite.relation("1-2", "2-1", None, ctx) is False
+        assert suite.relation("(1+2)*4", "4*(2+1)", None, ctx) is True
+
+    def test_letters_of_both_texts_are_their_variables(self):
+        rng = Rng(23)
+        for _ in range(2000):
+            a, b = gen_expr_ast(rng, 5), gen_expr_ast(rng, 5)
+            letters = set(print_infix(a) + print_infix(b)) & set(VARIABLES)
+            assert letters == variables(a) | variables(b)
 
     def test_correct_variant_clean_over_1000(self):
         summary, _ = run_suite(vm_suite(), SuiteConfig(iterations=1000))
