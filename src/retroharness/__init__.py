@@ -8,12 +8,12 @@ backward role, or both.
 """
 
 from . import core
-from .core import *  # noqa: F401,F403  (re-exports core.__all__)
-from .generators import Rng
+from .core import *  # noqa: F401,F403  (re-exports core.__all__, Rng included)
 
-# Importing the subpackage registers the built-in suites.
-from . import suites  # noqa: E402,F401  (import for registration side effect)
+# Importing the subpackage loads only the table of built-in suites; a suite's
+# module is imported when core.get_suite or core.list_suites first builds it.
+from . import suites
 
 __version__ = "0.1.0"
 
-__all__ = [*core.__all__, "Rng", "suites", "__version__"]
+__all__ = [*core.__all__, "suites", "__version__"]

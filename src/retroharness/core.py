@@ -10,19 +10,25 @@ from a single master seed.
 Trials are independent of each other and may in principle be executed
 concurrently; this runner executes them sequentially and reports are always
 ordered by trial index.
+
+Trials draw from :class:`Rng`, a SplitMix64 stream.  The suite registry
+builds each built-in suite at its first lookup, so a process imports only
+the suite modules it uses.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
-from .generators import _GAMMA, _MASK64, Rng, _mix64
+from . import suites
 
 __all__ = [
+    "Rng",
     "ConfigError",
     "StepCapExceeded",
     "Mode",
@@ -51,6 +57,54 @@ __all__ = [
     "get_suite",
     "list_suites",
 ]
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word.
+    Mixes a Python int, or returns a new numpy uint64 array, whose arithmetic
+    wraps modulo 2**64 as the masks do (numpy scalars would warn instead)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class Rng:
+    """Deterministic 64-bit random stream (SplitMix64).
+
+    Same seed, same stream; advancing is explicit through the drawing
+    methods.  Instances are cheap and are created per trial.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
+
+    def random(self) -> float:
+        """Float in [0, 1) with 53 bits of precision."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Integer in [lo, hi], both ends inclusive."""
+        if lo > hi:
+            raise ValueError(f"empty integer range [{lo}, {hi}]")
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def choice(self, seq: Sequence):
+        if not seq:
+            raise ValueError("cannot choose from an empty sequence")
+        return seq[self.next_u64() % len(seq)]
 
 
 class ConfigError(ValueError):
@@ -554,25 +608,42 @@ def run_suite(
 
 # --- Suite registry -------------------------------------------------------
 
+# Built and registered suites by name.  A built-in suite (``suites.BUILTINS``)
+# is built and added at its first lookup, under _BUILD_LOCK, so that two
+# threads racing a first lookup get the same object.
 _REGISTRY: dict[str, SuiteDefinition] = {}
+_BUILD_LOCK = threading.Lock()
 
 
 def register_suite(suite: SuiteDefinition) -> SuiteDefinition:
-    """Add a suite to the global registry; names must be unique."""
-    if suite.name in _REGISTRY:
+    """Add a suite to the global registry; names must be unique, and a
+    built-in suite's name is taken whether or not it has been built."""
+    if suite.name in _REGISTRY or suite.name in suites.BUILTINS:
         raise ConfigError(f"suite {suite.name!r} is already registered")
     _REGISTRY[suite.name] = suite
     return suite
 
 
+def _names() -> list[str]:
+    return sorted(_REGISTRY.keys() | suites.BUILTINS.keys())
+
+
 def get_suite(name: str) -> SuiteDefinition:
+    """The registered suite ``name``; a built-in suite is built, and its
+    module imported, at its first lookup, and is the same object after."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise ConfigError(
-            f"unknown suite {name!r}; known: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+        pass
+    if name not in suites.BUILTINS:
+        raise ConfigError(f"unknown suite {name!r}; known: {', '.join(_names())}")
+    with _BUILD_LOCK:
+        if name not in _REGISTRY:
+            _, factory, kwargs = suites.BUILTINS[name]
+            _REGISTRY[name] = getattr(suites, factory)(**kwargs)
+        return _REGISTRY[name]
 
 
 def list_suites() -> list[SuiteDefinition]:
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    """Every registered suite, by name; builds the built-ins not yet built."""
+    return [get_suite(name) for name in _names()]

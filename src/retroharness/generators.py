@@ -1,17 +1,18 @@
 """Seeded input generators.
 
-All generators draw from an explicit :class:`Rng` instance, never from
-global state, so any value they produce can be reproduced from a single
-64-bit seed.  The stream is a SplitMix64 sequence, which is stable across
-platforms and interpreter versions (unlike the stdlib Mersenne helpers,
-whose integer-drawing internals are an implementation detail).
+All generators draw from an explicit :class:`Rng` instance (defined in
+``core`` and re-exported here), never from global state, so any value
+they produce can be reproduced from a single 64-bit seed.  The stream is
+a SplitMix64 sequence, which is stable across platforms and interpreter
+versions (unlike the stdlib Mersenne helpers, whose integer-drawing
+internals are an implementation detail).
 """
 
 from __future__ import annotations
 
-import string
-from typing import Iterable, Sequence
+from typing import Iterable
 
+from .core import _GAMMA, _MASK64, Rng, _mix64
 from .expr import _LEAVES, OPERATORS, VARIABLES, BinOp, ExprNode
 
 __all__ = [
@@ -22,54 +23,7 @@ __all__ = [
     "gen_env",
 ]
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-POSTFIX_OPERANDS = string.ascii_lowercase + string.digits
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word.
-    Mixes a Python int, or returns a new numpy uint64 array, whose arithmetic
-    wraps modulo 2**64 as the masks do (numpy scalars would warn instead)."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
-
-
-class Rng:
-    """Deterministic 64-bit random stream (SplitMix64).
-
-    Same seed, same stream; advancing is explicit through the drawing
-    methods.  Instances are cheap and are created per trial.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def random(self) -> float:
-        """Float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Integer in [lo, hi], both ends inclusive."""
-        if lo > hi:
-            raise ValueError(f"empty integer range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def choice(self, seq: Sequence):
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[self.next_u64() % len(seq)]
+POSTFIX_OPERANDS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
 def gen_real_sequence(
@@ -132,7 +86,7 @@ def gen_expr_ast(rng: Rng, max_depth: int = 4) -> ExprNode:
     if max_depth == 1 or rng.random() < 0.25:
         # choice over ten digits draws as randint(0, 9) does.
         if rng.random() < 0.5:
-            return _LEAVES[rng.choice(string.digits)]
+            return _LEAVES[rng.choice("0123456789")]
         return _LEAVES[rng.choice(VARIABLES)]
     op = rng.choice(OPERATORS)
     return BinOp(op, gen_expr_ast(rng, max_depth - 1), gen_expr_ast(rng, max_depth - 1))

@@ -19,6 +19,7 @@ import math
 
 from ..core import (
     Mode,
+    Rng,
     StepCapExceeded,
     SuiteConfig,
     SuiteDefinition,
@@ -27,7 +28,6 @@ from ..core import (
     _variant,
     builtin_items,
 )
-from ..generators import Rng
 
 __all__ = [
     "is_prime",
